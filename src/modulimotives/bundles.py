@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .motive import MotiveClass, jacobian, sym_curve
+from .motive import MotiveClass, jacobian, sym_curve, zero
 from .polyring import IntPoly
 
 
@@ -59,15 +59,18 @@ def _in_index_region(g: int, k1: int, k2: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _fixed_det_motive(g: int) -> MotiveClass:
+    # the module docstring's double sum, grouped by k1: one product per k1
     acc = (sym_curve(g, g - 1) * sym_curve(g, g - 1)).tate_twist(3 * g - 3)
     for k1 in range(2 * g - 1):
+        inner = zero(g)
         for k2 in range(2 * g - 1 - k1):
             if not _in_index_region(g, k1, k2):
                 continue
             twists = IntPoly.monomial(k1 + 2 * k2) + IntPoly.monomial(
                 8 * g - 8 - 2 * k1 - 3 * k2
             )
-            acc = acc + sym_curve(g, k1) * sym_curve(g, k2) * twists
+            inner = inner + sym_curve(g, k2) * twists
+        acc = acc + sym_curve(g, k1) * inner
     return acc
 
 

@@ -5,7 +5,9 @@ them as a canonical JSON class, a Poincare polynomial, or a Hodge-number
 matrix; ``verify`` runs the cross-checking sweeps.  Identical invocations
 produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or hypothesis error.
+Exit codes: 0 success, 1 verification failure, 2 usage or hypothesis error,
+3 a broken internal invariant (a chamber mismatch, a negative coefficient, an
+inexact division), reported as one ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .bundles import BundleSpec, InvalidDegree, bundle_motive, bundle_motive_fixed_det
+from .bundles import BundleSpec, bundle_motive, bundle_motive_fixed_det
 from .higgs import ChamberMismatch, HiggsSpec, higgs_motive, higgs_motive_mod_jac
 from .motive import MotiveClass
 from .pairs import (
     ChamberSpec,
-    HypothesisViolation,
-    InvalidChamber,
-    OnWall,
-    OutOfRange,
     chamber_of,
     pair_motive_flip,
     pair_motive_geo,
@@ -32,16 +30,6 @@ from .pairs import (
 from .verify import SUITES, run_suite
 
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
-
-_USAGE_ERRORS = (
-    InvalidChamber,
-    HypothesisViolation,
-    OnWall,
-    OutOfRange,
-    InvalidDegree,
-    ChamberMismatch,
-    ValueError,
-)
 
 
 def render_class(cls: MotiveClass, fmt: str) -> str:
@@ -185,9 +173,12 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except _USAGE_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ChamberMismatch, ArithmeticError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,6 +29,11 @@ formula is re-derived from the exact rational stability parameter through
 Pair classes always enter through the wall-crossing route
 (:func:`modulimotives.pairs.pair_motive_flip`), which has no numerical
 hypothesis; the closed forms are verification-only.
+
+Every component carries exactly one Jacobian factor, so the class is
+``jacobian * Q``; :func:`higgs_motive_mod_jac`, the one assembly, builds Q in
+factored form.  A :class:`FixedComponent` builds its class only when read, as
+the per-component reference that the twist audit and the tests use.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import gcd
 
-from .bundles import BundleSpec, InvalidDegree, bundle_motive, bundle_motive_fixed_det
+from .bundles import BundleSpec, InvalidDegree, bundle_motive_fixed_det
 from .motive import MotiveClass, jacobian, sym_curve, zero
 from .pairs import ChamberSpec, chamber_of, pair_motive_flip
 
@@ -71,13 +77,29 @@ class HiggsSpec:
 
 @dataclass(frozen=True)
 class FixedComponent:
-    """One connected component of the fixed locus of the scaling action."""
+    """One component of the fixed locus; its class is built each time it is read."""
 
+    spec: HiggsSpec
     kind: str  # "(3)", "(1,1,1)", "(1,2)" or "(2,1)"
     params: tuple[int, ...]  # (m1, m2) for (1,1,1); (k,) for (1,2)/(2,1)
     dimension: int
     twist: int
-    motive: MotiveClass
+    chamber: ChamberSpec | None = None  # the pair moduli space of (1,2)/(2,1)
+
+    @property
+    def cofactor(self) -> MotiveClass:
+        """The class with its Jacobian factor removed."""
+        if self.kind == "(3)":
+            return bundle_motive_fixed_det(self.spec.bundle_spec())
+        if self.kind == "(1,1,1)":
+            m1, m2 = self.params
+            return sym_curve(self.spec.g, m1) * sym_curve(self.spec.g, m2)
+        return pair_motive_flip(self.chamber)
+
+    @property
+    def motive(self) -> MotiveClass:
+        """The class of the component, ``jacobian * cofactor``."""
+        return jacobian(self.spec.g) * self.cofactor
 
 
 def higgs_dimension(g: int) -> int:
@@ -86,15 +108,13 @@ def higgs_dimension(g: int) -> int:
 
 def fixed_locus_bundles(spec: HiggsSpec) -> list[FixedComponent]:
     """The type-(3) component: the bundle moduli space, untwisted."""
-    motive = bundle_motive(spec.bundle_spec())
-    return [FixedComponent("(3)", (), 9 * (spec.g - 1) + 1, 0, motive)]
+    return [FixedComponent(spec, "(3)", (), 9 * (spec.g - 1) + 1, 0)]
 
 
 def fixed_locus_111(spec: HiggsSpec) -> list[FixedComponent]:
     """Type-(1,1,1) components, sorted by ``(m1, m2)``."""
     g, d = spec.g, spec.d
     bound = 6 * g - 6
-    jac = jacobian(g)
     comps = []
     for m1 in range(bound):
         for m2 in range(bound):
@@ -102,14 +122,9 @@ def fixed_locus_111(spec: HiggsSpec) -> list[FixedComponent]:
                 continue
             if (m2 - m1 - d) % 3 != 0:
                 continue
-            motive = jac * sym_curve(g, m1) * sym_curve(g, m2)
             comps.append(
                 FixedComponent(
-                    "(1,1,1)",
-                    (m1, m2),
-                    g + m1 + m2,
-                    8 * g - 8 - m1 - m2,
-                    motive,
+                    spec, "(1,1,1)", (m1, m2), g + m1 + m2, 8 * g - 8 - m1 - m2
                 )
             )
     return comps
@@ -124,10 +139,10 @@ def _pair_component(
             f"type {kind}, k={k}: stability parameter {sigma} lies in chamber "
             f"{found} of degree {e}, but the closed form predicts {i}"
         )
-    pair = pair_motive_flip(ChamberSpec(g=spec.g, e=e, i=i))
-    motive = jacobian(spec.g) * pair
     dimension = spec.g + (e + 2 * spec.g - 2)
-    return FixedComponent(kind, (k,), dimension, twist, motive)
+    return FixedComponent(
+        spec, kind, (k,), dimension, twist, ChamberSpec(g=spec.g, e=e, i=i)
+    )
 
 
 def fixed_locus_12(spec: HiggsSpec) -> list[FixedComponent]:
@@ -171,45 +186,34 @@ def fixed_components(spec: HiggsSpec) -> list[FixedComponent]:
 
 
 @lru_cache(maxsize=None)
-def higgs_motive(spec: HiggsSpec) -> MotiveClass:
-    """Class of the rank-3 Higgs moduli space."""
-    acc = zero(spec.g)
-    for comp in fixed_components(spec):
-        acc = acc + comp.motive.tate_twist(comp.twist)
-    if not acc.is_effective():
-        raise ArithmeticError(f"Higgs class for {spec} has a negative coefficient")
+def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
+    """The cofactor Q of the Jacobian class: ``higgs_motive = jacobian * Q``.
+
+    Every fixed component carries exactly one Jacobian factor: the type-(3)
+    component through the varying determinant, the others through their
+    Picard factor.  Q is the sum of the components' cofactors, each twisted,
+    with the (1,1,1) part grouped by ``m1``:
+    ``sym_curve(m1) * sum over m2 of sym_curve(m2) * L^twist``.
+    """
+    g = spec.g
+    acc = bundle_motive_fixed_det(spec.bundle_spec())
+    for m1, comps in groupby(fixed_locus_111(spec), key=lambda c: c.params[0]):
+        inner = zero(g)
+        for comp in comps:
+            inner = inner + sym_curve(g, comp.params[1]).tate_twist(comp.twist)
+        acc = acc + sym_curve(g, m1) * inner
+    for comp in fixed_locus_12(spec) + fixed_locus_21(spec):
+        acc = acc + comp.cofactor.tate_twist(comp.twist)
     return acc
 
 
 @lru_cache(maxsize=None)
-def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
-    """The cofactor Q with ``jacobian * Q = higgs_motive`` (checked).
-
-    Every term of the assembly carries an explicit Jacobian factor: the
-    type-(3) component contributes it through the varying determinant, the
-    others through their Picard factor.  The cofactor is assembled directly
-    by dropping exactly that factor from each component, and the defining
-    property is then verified by re-multiplication.
-    """
-    g = spec.g
-    acc = bundle_motive_fixed_det(spec.bundle_spec())
-    for comp in fixed_locus_111(spec):
-        m1, m2 = comp.params
-        acc = acc + (sym_curve(g, m1) * sym_curve(g, m2)).tate_twist(comp.twist)
-    for comp in fixed_locus_12(spec) + fixed_locus_21(spec):
-        (k,) = comp.params
-        x = spec.x
-        if comp.kind == "(1,2)":
-            e, i = 4 * g - 3 * k - 7 + x, 2 * g - 2 * k - 5 + x
-        else:
-            e, i = 4 * g - 4 - 3 * k - x, 2 * g - 2 * k - 2 - x
-        pair = pair_motive_flip(ChamberSpec(g=g, e=e, i=i))
-        acc = acc + pair.tate_twist(comp.twist)
-    if jacobian(g) * acc != higgs_motive(spec):
-        raise ArithmeticError(
-            f"cofactor times Jacobian does not reproduce the Higgs class for {spec}"
-        )
-    return acc
+def higgs_motive(spec: HiggsSpec) -> MotiveClass:
+    """Class of the rank-3 Higgs moduli space, ``jacobian * higgs_motive_mod_jac``."""
+    cls = jacobian(spec.g) * higgs_motive_mod_jac(spec)
+    if not cls.is_effective():
+        raise ArithmeticError(f"Higgs class for {spec} has a negative coefficient")
+    return cls
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,21 @@ code paths, so that frozen expected values are computed by a second route.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
-from modulimotives import IntPoly, MotiveClass, from_tate_poly
+from modulimotives import IntPoly, MotiveClass, from_tate_poly, sym_curve
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child Python process that imports the package
+    from this checkout's ``src/``."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def conv(a: list[int], b: list[int]) -> list[int]:
@@ -64,3 +76,18 @@ def tate_sum(g: int, *exponents: int) -> MotiveClass:
 def tate_range(g: int, low: int, high: int) -> MotiveClass:
     """The class ``L^low + ... + L^high``."""
     return from_tate_poly(g, IntPoly.geometric(low, high))
+
+
+def fixed_det_double_sum(g: int) -> MotiveClass:
+    """The fixed-determinant rank-3 bundle class as the unfactored double sum
+    of the :mod:`modulimotives.bundles` docstring, one product per term."""
+    acc = sym_curve(g, g - 1) * sym_curve(g, g - 1) * IntPoly.monomial(3 * g - 3)
+    for k1 in range(2 * g - 1):
+        for k2 in range(2 * g - 1):
+            s = k1 + k2
+            if s < 2 * g - 2 or (s == 2 * g - 2 and k1 < g - 1):
+                twists = IntPoly.monomial(k1 + 2 * k2) + IntPoly.monomial(
+                    8 * g - 8 - 2 * k1 - 3 * k2
+                )
+                acc = acc + sym_curve(g, k1) * sym_curve(g, k2) * twists
+    return acc

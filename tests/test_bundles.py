@@ -10,7 +10,7 @@ from modulimotives import (
     sym_curve,
     zero,
 )
-from support import tate_sum
+from support import fixed_det_double_sum, tate_sum
 
 
 def _display_class(g, parts):
@@ -108,6 +108,10 @@ class TestStructure:
                 if s < 2 * g - 2 or (s == 2 * g - 2 and k1 < g - 1):
                     count += 1
         assert count == (2 * g - 1) * (g - 1) + (g - 1)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_factored_sum_matches_the_double_sum(self, g):
+        assert bundle_motive_fixed_det(BundleSpec(g, 1)) == fixed_det_double_sum(g)
 
     def test_degree_independence_of_the_class(self):
         assert bundle_motive(BundleSpec(2, 1)) == bundle_motive(BundleSpec(2, 2))

@@ -2,8 +2,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import modulimotives.higgs as higgs_module
+from modulimotives import MotiveClass
 from modulimotives.cli import main
 from golden_diamonds import GENUS2_HIGGS
+from support import src_env
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +208,29 @@ class TestVerifyCommand:
         assert "FAIL" in out and "stub failure" in out
 
 
+class TestInternalErrors:
+    @pytest.fixture(autouse=True)
+    def fresh_higgs_caches(self):
+        higgs_module.higgs_motive.cache_clear()
+        higgs_module.higgs_motive_mod_jac.cache_clear()
+
+    def test_chamber_mismatch_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(higgs_module, "chamber_of", lambda sigma, e: -99)
+        code, out, err = run_cli(capsys, "higgs", "--genus", "2", "--degree", "1")
+        assert code == 3
+        assert not out
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "closed form predicts" in err
+
+    def test_negative_coefficient_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(MotiveClass, "is_effective", lambda self: False)
+        code, out, err = run_cli(capsys, "higgs", "--genus", "2", "--degree", "1")
+        assert code == 3
+        assert not out
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "negative coefficient" in err
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -210,6 +238,7 @@ class TestEntryPoints:
              "--degree", "1", "--format", "diamond-text"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert parse_matrix(proc.stdout) == GENUS2_HIGGS
@@ -219,5 +248,6 @@ class TestEntryPoints:
             [sys.executable, "-m", "modulimotives", "nonsense"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 2

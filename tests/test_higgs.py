@@ -192,10 +192,15 @@ class TestModJacobian:
         h = higgs_motive_mod_jac(HiggsSpec(3, 1)).hodge_realization()
         assert h.to_matrix() == GENUS3_HIGGS_MOD_JAC
 
-    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     def test_multiplying_back_recovers_the_class(self, g):
-        spec = HiggsSpec(g, 1)
-        assert jacobian(g) * higgs_motive_mod_jac(spec) == higgs_motive(spec)
+        # the factored assembly against the per-component reference sum
+        for d in (1, 2, -2):
+            spec = HiggsSpec(g, d)
+            reference = zero(g)
+            for comp in fixed_components(spec):
+                reference = reference + comp.motive.tate_twist(comp.twist)
+            assert higgs_motive(spec) == reference
 
     def test_unit_coefficient_starts_at_one(self):
         cls = higgs_motive_mod_jac(HiggsSpec(2, 1))

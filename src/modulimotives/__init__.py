@@ -37,6 +37,7 @@ from .motive import (
     GenusMismatch,
     MotiveClass,
     SymMonomial,
+    UsageError,
     from_tate_poly,
     jacobian,
     projective_space,
@@ -85,6 +86,7 @@ __all__ = [
     "OnWall",
     "OutOfRange",
     "SymMonomial",
+    "UsageError",
     "audit_fixed_loci",
     "bundle_dimension",
     "bundle_dimension_fixed_det",

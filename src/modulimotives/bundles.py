@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .motive import MotiveClass, jacobian, sym_curve, zero
+from .motive import MotiveClass, UsageError, jacobian, sym_curve, zero
 from .polyring import IntPoly
 
 
-class InvalidDegree(ValueError):
+class InvalidDegree(UsageError):
     """Degree not coprime to 3 (semistable = stable fails)."""
 
 
@@ -39,7 +39,7 @@ class BundleSpec:
 
     def __post_init__(self) -> None:
         if self.g < 2:
-            raise ValueError(f"genus must be >= 2, got {self.g}")
+            raise UsageError(f"genus must be >= 2, got {self.g}")
         if gcd(self.d, 3) != 1:
             raise InvalidDegree(f"degree {self.d} is not coprime to 3")
 

@@ -5,9 +5,10 @@ them as a canonical JSON class, a Poincare polynomial, or a Hodge-number
 matrix; ``verify`` runs the cross-checking sweeps.  Identical invocations
 produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or hypothesis error,
-3 a broken internal invariant (a chamber mismatch, a negative coefficient, an
-inexact division), reported as one ``internal error:`` line on stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage or hypothesis error
+(a :class:`~modulimotives.motive.UsageError`), 3 a broken internal invariant
+(a chamber mismatch, a negative coefficient, an inexact division, any other
+``ValueError``), reported as one ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .bundles import BundleSpec, bundle_motive, bundle_motive_fixed_det
 from .higgs import ChamberMismatch, HiggsSpec, higgs_motive, higgs_motive_mod_jac
-from .motive import MotiveClass
+from .motive import MotiveClass, UsageError
 from .pairs import (
     ChamberSpec,
     chamber_of,
@@ -173,10 +174,10 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ChamberMismatch, ArithmeticError) as exc:
+    except (ValueError, ChamberMismatch, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import gcd
 
-from .bundles import BundleSpec, InvalidDegree, bundle_motive_fixed_det
+from .bundles import BundleSpec, bundle_motive_fixed_det
 from .motive import MotiveClass, jacobian, sym_curve, zero
 from .pairs import ChamberSpec, chamber_of, pair_motive_flip
 
@@ -61,10 +60,7 @@ class HiggsSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError(f"genus must be >= 2, got {self.g}")
-        if gcd(self.d, 3) != 1:
-            raise InvalidDegree(f"degree {self.d} is not coprime to 3")
+        self.bundle_spec()  # the same genus and coprimality hypotheses
 
     @property
     def x(self) -> int:

@@ -38,6 +38,20 @@ class GenusMismatch(ValueError):
     """Binary operation on classes attached to different genera."""
 
 
+class UsageError(ValueError):
+    """Input outside a documented range or hypothesis; the CLI exits 2 on it."""
+
+
+def _json_field(data: object, key: str) -> object:
+    if not isinstance(data, Mapping) or key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _validated_terms(
     genus: int, terms: Mapping[SymMonomial, IntPoly]
 ) -> dict[SymMonomial, IntPoly]:
@@ -70,6 +84,15 @@ class MotiveClass:
             raise ValueError(f"genus must be >= 1, got {genus}")
         object.__setattr__(self, "_genus", genus)
         object.__setattr__(self, "_terms", _validated_terms(genus, terms))
+
+    @classmethod
+    def _trusted(cls, genus: int, terms: dict[SymMonomial, IntPoly]) -> "MotiveClass":
+        """A class from this module's own arithmetic: drop zero coefficients
+        but skip the index, sort and type checks."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_genus", genus)
+        object.__setattr__(obj, "_terms", {m: p for m, p in terms.items() if p})
+        return obj
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MotiveClass is immutable")
@@ -124,11 +147,13 @@ class MotiveClass:
         self._check_genus(other)
         out = dict(self._terms)
         for mono, poly in other._terms.items():
-            out[mono] = out.get(mono, IntPoly.zero()) + poly
-        return MotiveClass(self._genus, out)
+            out[mono] = out[mono] + poly if mono in out else poly
+        return MotiveClass._trusted(self._genus, out)
 
     def __neg__(self) -> "MotiveClass":
-        return MotiveClass(self._genus, {m: -p for m, p in self._terms.items()})
+        return MotiveClass._trusted(
+            self._genus, {m: -p for m, p in self._terms.items()}
+        )
 
     def __sub__(self, other: "MotiveClass") -> "MotiveClass":
         if not isinstance(other, MotiveClass):
@@ -136,12 +161,8 @@ class MotiveClass:
         return self + (-other)
 
     def __mul__(self, other: "MotiveClass | IntPoly | int") -> "MotiveClass":
-        if isinstance(other, IntPoly):
-            return MotiveClass(
-                self._genus, {m: p * other for m, p in self._terms.items()}
-            )
-        if isinstance(other, int) and not isinstance(other, bool):
-            return MotiveClass(
+        if isinstance(other, IntPoly) or _is_int(other):
+            return MotiveClass._trusted(
                 self._genus, {m: p * other for m, p in self._terms.items()}
             )
         if not isinstance(other, MotiveClass):
@@ -156,7 +177,7 @@ class MotiveClass:
                     out[mono] = out[mono] + prod
                 else:
                     out[mono] = prod
-        return MotiveClass(self._genus, out)
+        return MotiveClass._trusted(self._genus, out)
 
     __rmul__ = __mul__
 
@@ -164,7 +185,9 @@ class MotiveClass:
         """Multiply by ``L^k`` (k >= 0)."""
         if k < 0:
             raise ValueError(f"negative Tate twist {k}")
-        return MotiveClass(self._genus, {m: p.shift(k) for m, p in self._terms.items()})
+        return MotiveClass._trusted(
+            self._genus, {m: p.shift(k) for m, p in self._terms.items()}
+        )
 
     # -- realizations ------------------------------------------------------
 
@@ -173,15 +196,19 @@ class MotiveClass:
 
         Ring homomorphism sending ``L`` to ``uv`` and each generator ``S_b``
         to its Hodge polynomial (see :func:`sym_h1_hodge_poly`); products of
-        generators go to products of those polynomials.
+        generators go to products of those polynomials.  One pass adds each
+        term's coefficients times the memoized polynomial of its monomial
+        (:func:`_monomial_hodge_poly`), shifted along the diagonal, in place.
         """
-        total = BiPoly.zero()
+        out: dict[tuple[int, int], int] = {}
         for mono, poly in self._terms.items():
-            factor = BiPoly.from_diagonal(poly)
-            for b in mono:
-                factor = factor * sym_h1_hodge_poly(self._genus, b)
-            total = total + factor
-        return total
+            h = tuple(_monomial_hodge_poly(self._genus, mono).items())
+            for k, c in enumerate(poly.coeffs):
+                if c:
+                    for (p, q), hc in h:
+                        key = (p + k, q + k)
+                        out[key] = out.get(key, 0) + c * hc
+        return BiPoly(out)
 
     def poincare_polynomial(self) -> IntPoly:
         """Specialize the Hodge realization via ``h^(p,q) -> t^(p+q)``."""
@@ -206,10 +233,19 @@ class MotiveClass:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MotiveClass":
-        terms = {
-            tuple(entry["mono"]): IntPoly(entry["coeffs"]) for entry in data["terms"]
-        }
-        return cls(int(data["genus"]), terms)
+        """Inverse of :meth:`to_json_dict`; ``ValueError`` names a bad field."""
+        genus, terms = _json_field(data, "genus"), {}
+        if not _is_int(genus):
+            raise ValueError(f"genus must be an int, got {genus!r}")
+        for entry in _json_field(data, "terms"):
+            mono, coeffs = _json_field(entry, "mono"), _json_field(entry, "coeffs")
+            for name, values in (("mono", mono), ("coeffs", coeffs)):
+                if not all(map(_is_int, values)):
+                    raise ValueError(f"{name} must hold ints, got {values!r}")
+            if tuple(mono) in terms:
+                raise ValueError(f"mono {mono!r} appears twice in terms")
+            terms[tuple(mono)] = IntPoly(coeffs)
+        return cls(genus, terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -292,6 +328,14 @@ def projective_space(g: int, n: int) -> MotiveClass:
     if n < 0:
         raise ValueError(f"negative projective-space dimension {n}")
     return from_tate_poly(g, IntPoly.geometric(0, n))
+
+
+@lru_cache(maxsize=None)
+def _monomial_hodge_poly(g: int, mono: SymMonomial) -> BiPoly:
+    """Hodge polynomial of a product of generators, built on its prefix."""
+    if not mono:
+        return BiPoly.one()
+    return _monomial_hodge_poly(g, mono[:-1]) * sym_h1_hodge_poly(g, mono[-1])
 
 
 @lru_cache(maxsize=None)

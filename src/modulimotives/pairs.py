@@ -40,6 +40,7 @@ from functools import lru_cache
 
 from .motive import (
     MotiveClass,
+    UsageError,
     from_tate_poly,
     jacobian,
     projective_space,
@@ -50,19 +51,19 @@ from .motive import (
 from .polyring import IntPoly, exact_div
 
 
-class InvalidChamber(ValueError):
+class InvalidChamber(UsageError):
     """Chamber index outside ``[0, floor((e-1)/2)]`` or degree < 2."""
 
 
-class HypothesisViolation(ValueError):
+class HypothesisViolation(UsageError):
     """Arguments violate the numerical hypothesis of a closed formula."""
 
 
-class OnWall(ValueError):
+class OnWall(UsageError):
     """The stability parameter equals a wall value."""
 
 
-class OutOfRange(ValueError):
+class OutOfRange(UsageError):
     """The stability parameter lies outside ``(0, e/2]``."""
 
 

@@ -48,6 +48,16 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
 
+    @classmethod
+    def _trusted(cls, cs: list[int]) -> "IntPoly":
+        """Take ownership of ``cs``, a list of ints from this module's own
+        arithmetic: strip trailing zeros but skip re-validation."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_coeffs", tuple(cs))
+        return obj
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntPoly is immutable")
 
@@ -135,12 +145,12 @@ class IntPoly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self._coeffs))
+        return IntPoly._trusted([-c for c in self._coeffs])
 
     def __sub__(self, other: "IntPoly | int") -> "IntPoly":
         other = _coerce(other)
@@ -156,9 +166,7 @@ class IntPoly:
 
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int) and not isinstance(other, bool):
-            if other == 0:
-                return IntPoly.zero()
-            return IntPoly(tuple(c * other for c in self._coeffs))
+            return IntPoly._trusted([c * other for c in self._coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -170,7 +178,7 @@ class IntPoly:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] += ca * cb
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -192,7 +200,7 @@ class IntPoly:
             raise ValueError(f"negative shift {k}")
         if not self._coeffs:
             return self
-        return IntPoly((0,) * k + self._coeffs)
+        return IntPoly._trusted([0] * k + list(self._coeffs))
 
     def evaluate(self, x: "int | Fraction") -> "int | Fraction":
         """Evaluate at an exact point (Horner)."""
@@ -270,7 +278,7 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
             rem[k + j] -= q * c
     if any(rem):
         raise NonExactDivision("nonzero remainder")
-    return IntPoly(qcoeffs)
+    return IntPoly._trusted(qcoeffs)
 
 
 class BiPoly:

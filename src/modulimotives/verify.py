@@ -14,7 +14,7 @@ from typing import Callable
 
 from .bundles import BundleSpec, bundle_dimension_fixed_det, bundle_motive_fixed_det
 from .higgs import HiggsSpec, audit_fixed_loci, higgs_dimension, higgs_motive
-from .motive import jacobian, projective_space, sym_curve
+from .motive import UsageError, jacobian, projective_space, sym_curve
 from .pairs import (
     ChamberSpec,
     folded_coeff_poly,
@@ -239,7 +239,7 @@ SUITES["all"] = tuple(fn for fns in SUITES.values() for fn in fns)
 
 def run_suite(name: str, max_genus: int) -> list[SweepResult]:
     if max_genus < 2:
-        raise ValueError(f"max genus must be >= 2, got {max_genus}")
+        raise UsageError(f"max genus must be >= 2, got {max_genus}")
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return [fn(max_genus) for fn in SUITES[name]]

@@ -10,7 +10,14 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from modulimotives import IntPoly, MotiveClass, from_tate_poly, sym_curve
+from modulimotives import (
+    BiPoly,
+    IntPoly,
+    MotiveClass,
+    from_tate_poly,
+    sym_curve,
+    sym_h1_hodge_poly,
+)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,3 +98,16 @@ def fixed_det_double_sum(g: int) -> MotiveClass:
                 )
                 acc = acc + sym_curve(g, k1) * sym_curve(g, k2) * twists
     return acc
+
+
+def hodge_realization_reference(cls: MotiveClass) -> BiPoly:
+    """The Hodge realization term by term: ``BiPoly.from_diagonal(poly)``
+    times the product of the generators' Hodge polynomials, summed with
+    ``BiPoly.__add__``.  No memoization and no in-place accumulation."""
+    total = BiPoly.zero()
+    for mono, poly in cls.items():
+        factor = BiPoly.from_diagonal(poly)
+        for b in mono:
+            factor = factor * sym_h1_hodge_poly(cls.genus, b)
+        total = total + factor
+    return total

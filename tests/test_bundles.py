@@ -10,7 +10,7 @@ from modulimotives import (
     sym_curve,
     zero,
 )
-from support import fixed_det_double_sum, tate_sum
+from support import fixed_det_double_sum, hodge_realization_reference, tate_sum
 
 
 def _display_class(g, parts):
@@ -109,7 +109,7 @@ class TestStructure:
                     count += 1
         assert count == (2 * g - 1) * (g - 1) + (g - 1)
 
-    @pytest.mark.parametrize("g", range(2, 8))
+    @pytest.mark.parametrize("g", range(2, 10))
     def test_factored_sum_matches_the_double_sum(self, g):
         assert bundle_motive_fixed_det(BundleSpec(g, 1)) == fixed_det_double_sum(g)
 
@@ -135,3 +135,8 @@ class TestRealization:
 
     def test_effectivity(self):
         assert bundle_motive(BundleSpec(4, 1)).is_effective()
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_realization_matches_the_term_by_term_reference(self, g):
+        cls = bundle_motive_fixed_det(BundleSpec(g, 1))
+        assert cls.hodge_realization() == hodge_realization_reference(cls)

@@ -5,7 +5,22 @@ import sys
 import pytest
 
 import modulimotives.higgs as higgs_module
-from modulimotives import MotiveClass
+import modulimotives.motive as motive_module
+import modulimotives.pairs as pairs_module
+from modulimotives import (
+    BundleSpec,
+    ChamberSpec,
+    HiggsSpec,
+    HypothesisViolation,
+    InvalidChamber,
+    InvalidDegree,
+    MotiveClass,
+    OnWall,
+    OutOfRange,
+    UsageError,
+    chamber_of,
+)
+from modulimotives.verify import run_suite
 from modulimotives.cli import main
 from golden_diamonds import GENUS2_HIGGS
 from support import src_env
@@ -210,9 +225,12 @@ class TestVerifyCommand:
 
 class TestInternalErrors:
     @pytest.fixture(autouse=True)
-    def fresh_higgs_caches(self):
+    def fresh_caches(self):
         higgs_module.higgs_motive.cache_clear()
         higgs_module.higgs_motive_mod_jac.cache_clear()
+        pairs_module.pair_motive_flip.cache_clear()
+        yield
+        pairs_module.pair_motive_flip.cache_clear()
 
     def test_chamber_mismatch_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(higgs_module, "chamber_of", lambda sigma, e: -99)
@@ -229,6 +247,55 @@ class TestInternalErrors:
         assert not out
         assert err.startswith("internal error: ") and err.count("\n") == 1
         assert "negative coefficient" in err
+
+    def test_internal_value_error_exits_three(self, capsys, monkeypatch):
+        # a Jacobian of the wrong genus makes jacobian * Q raise GenusMismatch,
+        # a ValueError that is not a usage error
+        def wrong_genus(g):
+            return motive_module.jacobian(g + 1)
+
+        monkeypatch.setattr(higgs_module, "jacobian", wrong_genus)
+        code, out, err = run_cli(capsys, "higgs", "--genus", "2", "--degree", "1")
+        assert code == 3
+        assert not out
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "genus 3 and 2" in err
+
+    def test_negative_symmetric_power_exits_three(self, capsys, monkeypatch):
+        def negative_power(g, j):
+            return motive_module.sym_curve(g, -1)
+
+        monkeypatch.setattr(pairs_module, "sym_curve", negative_power)
+        argv = ("pairs", "--genus", "2", "--e", "3", "--chamber", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert not out
+        assert err == "internal error: negative symmetric power -1\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BundleSpec(1, 1),
+            lambda: BundleSpec(2, 3),
+            lambda: HiggsSpec(1, 1),
+            lambda: HiggsSpec(2, 3),
+            lambda: ChamberSpec(g=2, e=3, i=2),
+            lambda: chamber_of(0, 3),
+            lambda: chamber_of(1, 4),
+            lambda: run_suite("identities", 1),
+            lambda: run_suite("nonsense", 2),
+        ],
+    )
+    def test_user_input_errors_are_usage_errors(self, make):
+        with pytest.raises(UsageError):
+            make()
+
+    def test_named_errors_form_one_family(self):
+        named = (InvalidDegree, InvalidChamber, HypothesisViolation, OnWall, OutOfRange)
+        assert all(issubclass(exc, UsageError) for exc in named)
+        assert issubclass(UsageError, ValueError)
 
 
 class TestEntryPoints:

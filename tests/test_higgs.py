@@ -19,7 +19,7 @@ from modulimotives import (
     zero,
 )
 from golden_diamonds import GENUS2_HIGGS, GENUS3_HIGGS_MOD_JAC
-from support import tate_range, tate_sum
+from support import hodge_realization_reference, tate_range, tate_sum
 
 
 class TestSpecValidation:
@@ -192,7 +192,7 @@ class TestModJacobian:
         h = higgs_motive_mod_jac(HiggsSpec(3, 1)).hodge_realization()
         assert h.to_matrix() == GENUS3_HIGGS_MOD_JAC
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("g", range(2, 9))
     def test_multiplying_back_recovers_the_class(self, g):
         # the factored assembly against the per-component reference sum
         for d in (1, 2, -2):
@@ -201,6 +201,12 @@ class TestModJacobian:
             for comp in fixed_components(spec):
                 reference = reference + comp.motive.tate_twist(comp.twist)
             assert higgs_motive(spec) == reference
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_realization_matches_the_term_by_term_reference(self, g):
+        for build in (higgs_motive, higgs_motive_mod_jac):
+            cls = build(HiggsSpec(g, 1))
+            assert cls.hodge_realization() == hodge_realization_reference(cls)
 
     def test_unit_coefficient_starts_at_one(self):
         cls = higgs_motive_mod_jac(HiggsSpec(2, 1))

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 from math import comb
 
@@ -20,6 +21,7 @@ from modulimotives import (
     unit,
     zero,
 )
+from support import hodge_realization_reference
 
 
 def L(*coeffs: int) -> IntPoly:
@@ -158,6 +160,12 @@ class TestHodgeRealization:
     def test_tate_class_realizes_on_diagonal(self):
         assert tate(3, 4).hodge_realization() == BiPoly({(4, 4): 1})
 
+    def test_cancelling_entries_are_dropped(self):
+        # S_1^2 - 2L realizes to (u + v)^2 - 2uv at g = 1
+        cls = MotiveClass(1, {(1, 1): L(1), (): L(0, -2)})
+        assert cls.hodge_realization() == BiPoly({(2, 0): 1, (0, 2): 1})
+        assert (jacobian(2) - jacobian(2)).hodge_realization().is_zero()
+
 
 def _classes_strategy(g):
     monos = st.lists(st.integers(1, g), min_size=0, max_size=2).map(
@@ -175,6 +183,24 @@ genus_and_classes = st.integers(2, 4).flatmap(
 
 
 class TestRingProperties:
+    @given(genus_and_classes)
+    def test_realization_matches_the_term_by_term_reference(self, data):
+        _, a, b = data
+        for cls in (a, a - b, a * b):
+            assert cls.hodge_realization() == hodge_realization_reference(cls)
+
+    @given(
+        genus_and_classes, st.lists(st.integers(-3, 3), max_size=4), st.integers(0, 3)
+    )
+    def test_trusted_results_equal_the_public_constructor(self, data, coeffs, k):
+        g, a, b = data
+        assert (a - a).as_dict() == {}
+        results = (a + b, a - b, -a, a * b, a * IntPoly(coeffs), a * k, a.tate_twist(k))
+        for result in results:
+            terms = result.as_dict()
+            assert all(terms.values())
+            assert MotiveClass(g, terms) == result
+
     @given(genus_and_classes)
     def test_hodge_realization_is_ring_homomorphism(self, data):
         _, a, b = data
@@ -225,3 +251,43 @@ class TestSerialization:
     def test_zero_class(self):
         assert zero(3).to_json_dict() == {"genus": 3, "terms": []}
         assert MotiveClass.from_json_dict({"genus": 3, "terms": []}) == zero(3)
+
+    @given(genus_and_classes)
+    def test_json_round_trip(self, data):
+        _, a, _ = data
+        assert MotiveClass.from_json_dict(a.to_json_dict()) == a
+        assert MotiveClass.from_json_dict(json.loads(json.dumps(a.to_json_dict()))) == a
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"terms": []}, "genus"),
+            ({"genus": 2}, "terms"),
+            ({"genus": 2, "terms": [{"coeffs": [1]}]}, "mono"),
+            ({"genus": 2, "terms": [{"mono": [1]}]}, "coeffs"),
+            ({"genus": "3", "terms": []}, "genus"),
+            ({"genus": 3.9, "terms": []}, "genus"),
+            ({"genus": True, "terms": []}, "genus"),
+            ({"genus": 2, "terms": [{"mono": [1], "coeffs": [1, True]}]}, "coeffs"),
+            ({"genus": 2, "terms": [{"mono": [1], "coeffs": [1.0]}]}, "coeffs"),
+            ({"genus": 2, "terms": [{"mono": [1.0], "coeffs": [1]}]}, "mono"),
+            ({"genus": 2, "terms": [{"mono": [2, 1], "coeffs": [1]}]}, "mono"),
+            ({"genus": 2, "terms": [{"mono": [3], "coeffs": [1]}]}, "mono"),
+            (
+                {"genus": 2, "terms": [{"mono": [1], "coeffs": [1]},
+                                       {"mono": [1], "coeffs": [2]}]},
+                "mono",
+            ),
+        ],
+    )
+    def test_malformed_documents_name_the_bad_field(self, document, field):
+        with pytest.raises(ValueError, match=field):
+            MotiveClass.from_json_dict(document)
+
+    def test_constructor_rejects_unsorted_out_of_range_and_untyped_terms(self):
+        with pytest.raises(ValueError):
+            MotiveClass(2, {(2, 1): IntPoly.one()})
+        with pytest.raises(ValueError):
+            MotiveClass(2, {(3,): IntPoly.one()})
+        with pytest.raises(TypeError):
+            MotiveClass(2, {(1,): 1})

@@ -21,7 +21,7 @@ from modulimotives import (
     sym_coeff_poly,
     sym_curve,
 )
-from support import conv
+from support import conv, hodge_realization_reference
 
 
 class TestChambers:
@@ -123,6 +123,13 @@ class TestFlipRoute:
         assert cls.is_effective()
         previous = pair_motive_flip(ChamberSpec(g=4, e=11, i=4))
         assert not (cls - previous).is_effective()
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_realization_matches_the_term_by_term_reference(self, g):
+        for e in range(2, 4 * g - 4):
+            for i in range((e - 1) // 2 + 1):
+                cls = pair_motive_flip(ChamberSpec(g=g, e=e, i=i))
+                assert cls.hodge_realization() == hodge_realization_reference(cls)
 
 
 class TestSymCoeffPoly:

@@ -123,6 +123,40 @@ class TestRingLaws:
             assert q * den == num
 
 
+class TestTrustedResults:
+    """Arithmetic results skip re-validation but must stay in normal form."""
+
+    def test_cancellation_leaves_the_zero_polynomial(self):
+        p = P(3, 0, -2, 7)
+        assert (p - p).coeffs == ()
+        assert (P(1, 2, 5) + P(0, 0, -5)).coeffs == (1, 2)
+        assert (p * 0).coeffs == ()
+        assert IntPoly.zero().shift(3).coeffs == ()
+
+    @given(small_polys, nonzero_polys, st.integers(-3, 3), st.integers(0, 4))
+    def test_results_equal_the_public_constructor(self, p, q, n, k):
+        results = (p + q, p - q, -p, p * q, p * n, p.shift(k), exact_div(p * q, q))
+        for result in results:
+            rebuilt = IntPoly(list(result.coeffs))
+            assert result == rebuilt and hash(result) == hash(rebuilt)
+            assert result.coeffs == rebuilt.coeffs
+
+
+class TestPublicConstructorsValidate:
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_rejects_non_int_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            IntPoly([1, bad])
+        with pytest.raises(TypeError):
+            BiPoly({(0, 0): bad})
+
+    def test_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            IntPoly.monomial(-1)
+        with pytest.raises(ValueError):
+            IntPoly.one().shift(-1)
+
+
 class TestBiPoly:
     def test_ring_ops(self):
         u = BiPoly.monomial(1, 0)

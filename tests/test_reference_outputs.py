@@ -1,0 +1,64 @@
+"""Byte-identity of rendered outputs against the benchmark's reference digests.
+
+``perfbench/reference.json`` holds the SHA-256 of every output the benchmark
+can draw; it is only read here.  Pair outputs are digested as rendered, Higgs
+outputs as the CLI prints them (with the trailing newline).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from modulimotives import (
+    ChamberSpec,
+    HiggsSpec,
+    higgs_motive,
+    higgs_motive_mod_jac,
+    pair_motive_flip,
+)
+from modulimotives.cli import FORMATS, render_class
+from support import ROOT
+
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pair_chambers(g):
+    """Every chamber ``(e, i)`` with ``e <= 4g-5``, as the benchmark draws them."""
+    for e in range(2, 4 * g - 4):
+        for i in range((e - 1) // 2 + 1):
+            yield e, i
+
+
+@pytest.mark.parametrize("g", range(2, 6))
+def test_pair_outputs_match_the_reference(g):
+    for e, i in pair_chambers(g):
+        cls = pair_motive_flip(ChamberSpec(g=g, e=e, i=i))
+        for fmt in FORMATS:
+            expected = REFERENCE["pairs"][f"{g},{e},{i},{fmt}"]
+            assert digest(render_class(cls, fmt)) == expected, (g, e, i, fmt)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_higgs_outputs_match_the_reference(g):
+    spec = HiggsSpec(g, 1)
+    for mod_jac, build, fmt in ((0, higgs_motive, "diamond-json"),
+                                (1, higgs_motive_mod_jac, "class-json")):
+        printed = render_class(build(spec), fmt) + "\n"
+        expected = REFERENCE["higgs"][f"{g},{mod_jac},{fmt}"]
+        assert digest(printed) == expected, (g, mod_jac)
+
+
+def test_every_pair_chamber_up_to_genus_five_is_covered():
+    keys = {key for key in REFERENCE["pairs"] if int(key.split(",")[0]) <= 5}
+    expected = {
+        f"{g},{e},{i},{fmt}"
+        for g in range(2, 6)
+        for e, i in pair_chambers(g)
+        for fmt in FORMATS
+    }
+    assert keys == expected

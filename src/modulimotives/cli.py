@@ -7,8 +7,8 @@ produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or hypothesis error
 (a :class:`~modulimotives.motive.UsageError`), 3 a broken internal invariant
-(a chamber mismatch, a negative coefficient, an inexact division, any other
-``ValueError``), reported as one ``internal error:`` line on stderr.
+(a chamber mismatch, a negative coefficient, an inexact division, a TypeError,
+any other ``ValueError``): one ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ChamberMismatch, ArithmeticError) as exc:
+    except (ValueError, TypeError, ChamberMismatch, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

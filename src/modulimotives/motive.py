@@ -196,19 +196,43 @@ class MotiveClass:
 
         Ring homomorphism sending ``L`` to ``uv`` and each generator ``S_b``
         to its Hodge polynomial (see :func:`sym_h1_hodge_poly`); products of
-        generators go to products of those polynomials.  One pass adds each
-        term's coefficients times the memoized polynomial of its monomial
-        (:func:`_monomial_hodge_poly`), shifted along the diagonal, in place.
+        generators go to products of those polynomials.
+
+        A monomial's Hodge polynomial is homogeneous of degree ``sum(mono)``,
+        so it has at most one entry ``h`` on each line ``p - q = d`` of the
+        diamond, at ``m = min(p, q)``, and along a line ``L`` acts as ``uv``:
+        a term ``c(L) * mono`` adds ``h * c(uv) * (uv)^m`` to line ``d``.
+        Each line is one int, its polynomial in ``uv`` at ``2^w`` (Kronecker
+        substitution).  An output coefficient sums at most one ``c_k * h``
+        per term, so ``bound`` (the sum over terms of ``max|c_k| * max|h|``)
+        caps its absolute value; as ``2^(w-1) > bound``, it is exactly the
+        signed base-``2^w`` digit of its line.
         """
-        out: dict[tuple[int, int], int] = {}
+        g, bound, terms = self._genus, 0, []
         for mono, poly in self._terms.items():
-            h = tuple(_monomial_hodge_poly(self._genus, mono).items())
-            for k, c in enumerate(poly.coeffs):
+            hmax, table = _monomial_hodge_lines(g, mono)
+            bound += max(map(abs, poly.coeffs)) * hmax
+            terms.append((poly.coeffs, table))
+        w = bound.bit_length() + 1
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        lines: dict[int, int] = {}
+        for coeffs, table in terms:
+            packed = 0
+            for c in reversed(coeffs):
+                packed = (packed << w) + c
+            for d, m, h in table:
+                lines[d] = lines.get(d, 0) + ((h * packed) << (w * m))
+        out: dict[tuple[int, int], int] = {}
+        for d, x in lines.items():
+            p, q = (d, 0) if d > 0 else (0, -d)
+            while x:  # peel off the lowest signed digit
+                c, x = x & mask, x >> w
+                if c >= half:
+                    c, x = c - mask - 1, x + 1
                 if c:
-                    for (p, q), hc in h:
-                        key = (p + k, q + k)
-                        out[key] = out.get(key, 0) + c * hc
-        return BiPoly(out)
+                    out[p, q] = c
+                p, q = p + 1, q + 1
+        return BiPoly._trusted(out)
 
     def poincare_polynomial(self) -> IntPoly:
         """Specialize the Hodge realization via ``h^(p,q) -> t^(p+q)``."""
@@ -331,11 +355,14 @@ def projective_space(g: int, n: int) -> MotiveClass:
 
 
 @lru_cache(maxsize=None)
-def _monomial_hodge_poly(g: int, mono: SymMonomial) -> BiPoly:
-    """Hodge polynomial of a product of generators, built on its prefix."""
-    if not mono:
-        return BiPoly.one()
-    return _monomial_hodge_poly(g, mono[:-1]) * sym_h1_hodge_poly(g, mono[-1])
+def _monomial_hodge_lines(g: int, mono: SymMonomial) -> tuple[int, tuple]:
+    """Hodge polynomial of a product of generators: its largest coefficient
+    and its ``(p - q, min(p, q), h)`` entries, one per line of the diamond."""
+    h = BiPoly.one()
+    for b in mono:
+        h = h * sym_h1_hodge_poly(g, b)
+    entries = tuple((p - q, min(p, q), c) for (p, q), c in h.items())
+    return max(abs(c) for _, _, c in entries), entries
 
 
 @lru_cache(maxsize=None)

@@ -121,7 +121,7 @@ class IntPoly:
 
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0."""
-        return all(c >= 0 for c in self._coeffs)
+        return min(self._coeffs, default=0) >= 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
@@ -303,6 +303,16 @@ class BiPoly:
                     data[(p, q)] = c
         object.__setattr__(self, "_coeffs", data)
 
+    @classmethod
+    def _trusted(cls, data: dict[tuple[int, int], int]) -> "BiPoly":
+        """Take ownership of ``data``, an exponent map from this package's own
+        arithmetic: drop zero coefficients but skip re-validation."""
+        if 0 in data.values():
+            data = {k: c for k, c in data.items() if c}
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_coeffs", data)
+        return obj
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BiPoly is immutable")
 
@@ -349,10 +359,10 @@ class BiPoly:
         out = dict(self._coeffs)
         for key, c in other._coeffs.items():
             out[key] = out.get(key, 0) + c
-        return BiPoly(out)
+        return BiPoly._trusted(out)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self._coeffs.items()})
+        return BiPoly._trusted({k: -c for k, c in self._coeffs.items()})
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
@@ -361,7 +371,7 @@ class BiPoly:
 
     def __mul__(self, other: "BiPoly | int") -> "BiPoly":
         if isinstance(other, int) and not isinstance(other, bool):
-            return BiPoly({k: c * other for k, c in self._coeffs.items()})
+            return BiPoly._trusted({k: c * other for k, c in self._coeffs.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
@@ -369,21 +379,12 @@ class BiPoly:
             for (p2, q2), c2 in other._coeffs.items():
                 key = (p1 + p2, q1 + q2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return BiPoly(out)
+        return BiPoly._trusted(out)
 
     __rmul__ = __mul__
 
-    @property
-    def max_p(self) -> int:
-        """Largest u-exponent; -1 for the zero polynomial."""
-        return max((p for p, _ in self._coeffs), default=-1)
-
-    @property
-    def max_q(self) -> int:
-        return max((q for _, q in self._coeffs), default=-1)
-
     def is_nonneg(self) -> bool:
-        return all(c >= 0 for c in self._coeffs.values())
+        return min(self._coeffs.values(), default=0) >= 0
 
     def is_symmetric(self) -> bool:
         """True iff the coefficient of u^p v^q equals that of u^q v^p."""
@@ -395,8 +396,13 @@ class BiPoly:
         """Rectangular matrix with rows indexed by p, columns by q."""
         if not self._coeffs:
             return [[0]]
-        rows, cols = self.max_p + 1, self.max_q + 1
-        mat = [[0] * cols for _ in range(rows)]
+        rows = cols = 0
+        for p, q in self._coeffs:  # both largest exponents in one pass
+            if p > rows:
+                rows = p
+            if q > cols:
+                cols = q
+        mat = [[0] * (cols + 1) for _ in range(rows + 1)]
         for (p, q), c in self._coeffs.items():
             mat[p][q] = c
         return mat
@@ -405,10 +411,10 @@ class BiPoly:
         """Collapse to one variable: ``u^p v^q`` goes to ``t^(p+q)``."""
         if not self._coeffs:
             return IntPoly.zero()
-        out = [0] * (self.max_p + self.max_q + 1)
+        out = [0] * (max(map(sum, self._coeffs)) + 1)
         for (p, q), c in self._coeffs.items():
             out[p + q] += c
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     def evaluate(self, u: "int | Fraction", v: "int | Fraction") -> "int | Fraction":
         return sum(c * u**p * v**q for (p, q), c in self._coeffs.items())

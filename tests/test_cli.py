@@ -272,6 +272,19 @@ class TestInternalErrors:
         assert not out
         assert err == "internal error: negative symmetric power -1\n"
 
+    def test_internal_type_error_exits_three(self, capsys, monkeypatch):
+        # a coefficient that is not an IntPoly makes the class constructor
+        # raise TypeError inside the package
+        def untyped_class(g, j):
+            return motive_module.MotiveClass(g, {(): [1]})
+
+        monkeypatch.setattr(pairs_module, "sym_curve", untyped_class)
+        argv = ("pairs", "--genus", "2", "--e", "3", "--chamber", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert not out
+        assert err == "internal error: coefficients must be IntPoly\n"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -168,10 +168,10 @@ class TestHodgeRealization:
 
 
 def _classes_strategy(g):
-    monos = st.lists(st.integers(1, g), min_size=0, max_size=2).map(
+    monos = st.lists(st.integers(1, g), min_size=0, max_size=3).map(
         lambda ix: tuple(sorted(ix))
     )
-    polys = st.lists(st.integers(-4, 4), max_size=5).map(IntPoly)
+    polys = st.lists(st.integers(-(2**80), 2**80), max_size=13).map(IntPoly)
     return st.dictionaries(monos, polys, max_size=3).map(
         lambda terms: MotiveClass(g, terms)
     )
@@ -180,6 +180,58 @@ def _classes_strategy(g):
 genus_and_classes = st.integers(2, 4).flatmap(
     lambda g: st.tuples(st.just(g), _classes_strategy(g), _classes_strategy(g))
 )
+
+
+class TestPackedRealization:
+    """Edge cases of the packed realization, each checked against the
+    term-by-term reference.  A class is packed with ``w`` bits per digit,
+    where ``2^(w-1) - 1`` is the smallest such number >= the coefficient
+    bound (the sum over terms of max |c_k| times the largest Hodge number)."""
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_zero_class(self, g):
+        assert zero(g).hodge_realization().is_zero()
+        assert hodge_realization_reference(zero(g)).is_zero()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    def test_digits_at_the_edge_of_the_width(self, n):
+        # one term of Hodge number 1: the bound is 2^n - 1, so w = n + 1 and
+        # every digit is +-(2^(w-1) - 1), alternating so that each one borrows
+        big = 2**n - 1
+        coeffs = [big, -big] * 3 + [big]
+        for cls, h in (
+            (from_tate_poly(3, IntPoly(coeffs)), {(0, 0): 1}),
+            (MotiveClass(1, {(1,): IntPoly(coeffs)}), {(1, 0): 1, (0, 1): 1}),
+        ):
+            expected = BiPoly(
+                {(p + k, q + k): c * hc for k, c in enumerate(coeffs) for (p, q), hc in h.items()}
+            )
+            assert cls.hodge_realization() == expected == hodge_realization_reference(cls)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_alternating_signs_borrow_across_digits(self, g):
+        coeffs = [(-1) ** k * (2**40 + k) for k in range(13)]
+        terms = {
+            (): IntPoly(coeffs),
+            (1,): IntPoly(coeffs[::-1]),
+            (1, 1): IntPoly([-c for c in coeffs]),
+            (1, 1, 1): IntPoly([1, -1] * 6),
+        }
+        cls = MotiveClass(g, terms)
+        assert cls.hodge_realization() == hodge_realization_reference(cls)
+        assert (cls - cls).hodge_realization().is_zero()
+
+    def test_a_line_that_cancels_to_zero(self):
+        # 4 S_2 - S_1^2 realizes to 8uv at g = 2: the lines p - q = +-2 cancel
+        c = IntPoly([3, -(2**70), 5, 0, -1])
+        cls = MotiveClass(2, {(2,): c * 4, (1, 1): -c})
+        expected = BiPoly({(k + 1, k + 1): 8 * x for k, x in enumerate(c.coeffs)})
+        assert cls.hodge_realization() == expected == hodge_realization_reference(cls)
+
+    @given(_classes_strategy(1), _classes_strategy(1))
+    def test_genus_one(self, a, b):
+        for cls in (a, a - b, a * b):
+            assert cls.hodge_realization() == hodge_realization_reference(cls)
 
 
 class TestRingProperties:

@@ -91,10 +91,17 @@ class TestIsNonneg:
         assert P(1, 2, 2, 1).is_nonneg()
         assert not P(1, -1).is_nonneg()
         assert IntPoly.zero().is_nonneg()
+        assert BiPoly({(0, 1): 2, (3, 0): 0}).is_nonneg()
+        assert not BiPoly({(0, 1): 2, (1, 1): -1}).is_nonneg()
+        assert BiPoly.zero().is_nonneg()
 
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=31))
 nonzero_polys = small_polys.filter(bool)
+small_bipolys = st.builds(
+    BiPoly,
+    st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-3, 3)),
+)
 
 
 class TestRingLaws:
@@ -142,6 +149,26 @@ class TestTrustedResults:
             assert result.coeffs == rebuilt.coeffs
 
 
+class TestTrustedBiPolyResults:
+    """``BiPoly`` arithmetic results skip re-validation but must stay in
+    normal form: no zero coefficient is stored."""
+
+    def test_cancellation_leaves_the_zero_polynomial(self):
+        h = BiPoly({(0, 0): 1, (2, 1): -3})
+        for result in (h - h, h * 0, h + (-h), h * BiPoly.zero()):
+            assert result.is_zero() and list(result.items()) == []
+        assert (h - h).diagonal_specialization().coeffs == ()
+
+    @given(small_bipolys, small_bipolys, st.integers(-3, 3))
+    def test_results_equal_the_public_constructor(self, a, b, n):
+        for result in (a + b, a - b, -a, a * b, a * n):
+            entries = dict(result.items())
+            assert all(entries.values())
+            assert BiPoly(entries) == result
+            specialized = result.diagonal_specialization()
+            assert specialized.coeffs == IntPoly(list(specialized.coeffs)).coeffs
+
+
 class TestPublicConstructorsValidate:
     @pytest.mark.parametrize("bad", [True, 1.0, "1"])
     def test_rejects_non_int_coefficients(self, bad):
@@ -173,6 +200,16 @@ class TestBiPoly:
         assert h.is_symmetric()
         assert h.to_matrix() == [[1, 2], [2, 4]]
         assert not BiPoly({(1, 0): 1}).is_symmetric()
+
+    @given(small_bipolys)
+    def test_matrix_spans_the_largest_exponents(self, h):
+        mat = h.to_matrix()
+        if h.is_zero():
+            assert mat == [[0]]
+            return
+        assert len(mat) == max(p for (p, _), _ in h.items()) + 1
+        assert all(len(row) == max(q for (_, q), _ in h.items()) + 1 for row in mat)
+        assert all(c == h.coefficient(p, q) for p, row in enumerate(mat) for q, c in enumerate(row))
 
     def test_diagonal_specialization(self):
         h = BiPoly({(1, 0): 2, (0, 1): 2, (1, 1): 4})

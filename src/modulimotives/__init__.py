@@ -12,16 +12,12 @@ Poincare polynomials.
 from .bundles import (
     BundleSpec,
     InvalidDegree,
-    bundle_dimension,
     bundle_dimension_fixed_det,
     bundle_motive,
     bundle_motive_fixed_det,
 )
 from .higgs import (
-    AuditReport,
-    AuditRow,
     ChamberMismatch,
-    FixedComponent,
     HiggsSpec,
     audit_fixed_loci,
     fixed_components,
@@ -36,7 +32,6 @@ from .higgs import (
 from .motive import (
     GenusMismatch,
     MotiveClass,
-    SymMonomial,
     UsageError,
     from_tate_poly,
     jacobian,
@@ -68,13 +63,10 @@ from .polyring import BiPoly, IntPoly, NonExactDivision, exact_div
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditReport",
-    "AuditRow",
     "BiPoly",
     "BundleSpec",
     "ChamberMismatch",
     "ChamberSpec",
-    "FixedComponent",
     "GenusMismatch",
     "HiggsSpec",
     "HypothesisViolation",
@@ -85,10 +77,8 @@ __all__ = [
     "NonExactDivision",
     "OnWall",
     "OutOfRange",
-    "SymMonomial",
     "UsageError",
     "audit_fixed_loci",
-    "bundle_dimension",
     "bundle_dimension_fixed_det",
     "bundle_motive",
     "bundle_motive_fixed_det",

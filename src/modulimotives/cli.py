@@ -6,20 +6,24 @@ matrix; ``verify`` runs the cross-checking sweeps.  Identical invocations
 produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or hypothesis error
-(a :class:`~modulimotives.motive.UsageError`), 3 a broken internal invariant
-(a chamber mismatch, a negative coefficient, an inexact division, a TypeError,
-any other ``ValueError``): one ``internal error:`` line on stderr.
+(a :class:`~modulimotives.motive.UsageError`), 3 any other exception, which
+means a broken internal invariant (a chamber mismatch, a negative coefficient,
+an inexact division, a ``TypeError``, ``KeyError``, any other ``ValueError``):
+one ``internal error:`` line on stderr.  When the reader of stdout goes away
+(``... | head -1``), the command stops quietly with 141, as a command killed
+by ``SIGPIPE`` would.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .bundles import BundleSpec, bundle_motive, bundle_motive_fixed_det
-from .higgs import ChamberMismatch, HiggsSpec, higgs_motive, higgs_motive_mod_jac
+from .higgs import HiggsSpec, higgs_motive, higgs_motive_mod_jac
 from .motive import MotiveClass, UsageError
 from .pairs import (
     ChamberSpec,
@@ -173,11 +177,16 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, ChamberMismatch, ArithmeticError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

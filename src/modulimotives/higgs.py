@@ -43,9 +43,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .bundles import BundleSpec, bundle_motive_fixed_det
-from .motive import MotiveClass, jacobian, sym_curve, zero
-from .pairs import ChamberSpec, chamber_of, pair_motive_flip
+from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
+from .motive import MotiveClass, check_effective, jacobian, sym_curve, zero
+from .pairs import ChamberSpec, chamber_of, pair_dimension, pair_motive_flip
 
 
 class ChamberMismatch(RuntimeError):
@@ -99,12 +99,12 @@ class FixedComponent:
 
 
 def higgs_dimension(g: int) -> int:
-    return 2 * (9 * (g - 1) + 1)
+    return 2 * bundle_dimension(g)
 
 
 def fixed_locus_bundles(spec: HiggsSpec) -> list[FixedComponent]:
     """The type-(3) component: the bundle moduli space, untwisted."""
-    return [FixedComponent(spec, "(3)", (), 9 * (spec.g - 1) + 1, 0)]
+    return [FixedComponent(spec, "(3)", (), bundle_dimension(spec.g), 0)]
 
 
 def fixed_locus_111(spec: HiggsSpec) -> list[FixedComponent]:
@@ -135,10 +135,9 @@ def _pair_component(
             f"type {kind}, k={k}: stability parameter {sigma} lies in chamber "
             f"{found} of degree {e}, but the closed form predicts {i}"
         )
-    dimension = spec.g + (e + 2 * spec.g - 2)
-    return FixedComponent(
-        spec, kind, (k,), dimension, twist, ChamberSpec(g=spec.g, e=e, i=i)
-    )
+    chamber = ChamberSpec(g=spec.g, e=e, i=i)
+    dimension = spec.g + pair_dimension(chamber)
+    return FixedComponent(spec, kind, (k,), dimension, twist, chamber)
 
 
 def fixed_locus_12(spec: HiggsSpec) -> list[FixedComponent]:
@@ -203,13 +202,10 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
     return acc
 
 
-@lru_cache(maxsize=None)
 def higgs_motive(spec: HiggsSpec) -> MotiveClass:
     """Class of the rank-3 Higgs moduli space, ``jacobian * higgs_motive_mod_jac``."""
     cls = jacobian(spec.g) * higgs_motive_mod_jac(spec)
-    if not cls.is_effective():
-        raise ArithmeticError(f"Higgs class for {spec} has a negative coefficient")
-    return cls
+    return check_effective(cls, f"Higgs class for {spec}")
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ class AuditReport:
 
     def render(self) -> str:
         """One line per component: kind, params, dimension, twist, verdict."""
-        half = 9 * (self.genus - 1) + 1
+        half = bundle_dimension(self.genus)
         lines = [
             f"fixed-locus audit: genus={self.genus} degree={self.degree} "
             f"half-dimension={half}"
@@ -257,7 +253,7 @@ def audit_fixed_loci(spec: HiggsSpec) -> AuditReport:
     half its top realized degree, so the audit catches both wrong twists and
     wrong component classes.
     """
-    half = 9 * (spec.g - 1) + 1
+    half = bundle_dimension(spec.g)
     rows = []
     for comp in fixed_components(spec):
         top = comp.motive.poincare_polynomial().degree

@@ -58,6 +58,8 @@ def _validated_terms(
     out: dict[SymMonomial, IntPoly] = {}
     for mono, poly in terms.items():
         mono = tuple(mono)
+        if not all(map(_is_int, mono)):
+            raise TypeError(f"monomial {mono} has an index that is not an int")
         if any(b < 1 or b > genus for b in mono):
             raise ValueError(f"monomial {mono} has an index outside [1, {genus}]")
         if tuple(sorted(mono)) != mono:
@@ -279,6 +281,14 @@ class MotiveClass:
             name = "1" if not mono else "*".join(f"S{b}" for b in mono)
             parts.append(f"{name}:({poly.to_str('L')})")
         return f"MotiveClass(g={self._genus}, " + " + ".join(parts) + ")"
+
+
+def check_effective(cls: MotiveClass, name: str) -> MotiveClass:
+    """Return ``cls``, the class of a variety, after checking it effective;
+    otherwise raise ``ArithmeticError`` naming it."""
+    if not cls.is_effective():
+        raise ArithmeticError(f"{name} has a negative coefficient")
+    return cls
 
 
 # -- constructors of basic classes ------------------------------------------

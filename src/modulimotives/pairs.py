@@ -41,6 +41,7 @@ from functools import lru_cache
 from .motive import (
     MotiveClass,
     UsageError,
+    check_effective,
     from_tate_poly,
     jacobian,
     projective_space,
@@ -133,13 +134,7 @@ def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
     acc = zero(g)
     for j in range(i + 1):
         acc = acc + sym_curve(g, j) * _flip_block(g, e, j)
-    result = jacobian(g) * acc
-    if not result.is_effective():
-        raise ArithmeticError(
-            f"pair class for {spec} has a negative coefficient; "
-            "this contradicts effectivity of the moduli space class"
-        )
-    return result
+    return check_effective(jacobian(g) * acc, f"pair class for {spec}")
 
 
 # (1 - T)^2 (1 - T^2), the common denominator of the coefficient polynomials
@@ -194,7 +189,6 @@ def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
     return result
 
 
-@lru_cache(maxsize=None)
 def pair_motive_sym(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space as a sum of ``S_b`` terms.
 
@@ -220,18 +214,15 @@ def pair_motive_sym(spec: ChamberSpec) -> MotiveClass:
             elif b < 2 * g - i or abs(b - g) < e - 2 * i:
                 acc = acc + sym_h1(g, b) * sym_coeff_poly(g, i, e, b)
             # remaining b in [g+e-2i, i]: absorbed into the folded terms
-    result = jacobian(g) * acc
-    if not result.is_effective():
-        raise ArithmeticError(f"pair class for {spec} has a negative coefficient")
-    return result
+    return check_effective(jacobian(g) * acc, f"pair class for {spec}")
 
 
-@lru_cache(maxsize=None)
 def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space in terms of symmetric powers of the
     curve, the Jacobian and projective spaces.
 
-    Requires ``2i < e <= 4g-5``.  For ``3i < e+g`` the class is
+    Requires ``e <= 4g-5`` (``2i < e`` holds in every chamber).  For
+    ``3i < e+g`` the class is
 
         sum over k = 0..i of
             jacobian * sym_curve(k) * projective_space(e+g-3k-2) * L^k
@@ -241,8 +232,6 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
     the Jacobian-squared term is :func:`sym_coeff_poly` at ``b = g``.
     """
     g, e, i = spec.g, spec.e, spec.i
-    if not 2 * i < e:
-        raise HypothesisViolation(f"need 2i < e, got i={i}, e={e}")
     if not e <= 4 * g - 5:
         raise HypothesisViolation(f"need e <= 4g-5, got e={e}, g={g}")
     jac = jacobian(g)
@@ -253,7 +242,6 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
             if n < 0:
                 continue
             acc = acc + sym_curve(g, k) * projective_space(g, n).tate_twist(k)
-        result = jac * acc
     else:
         acc = sym_curve(g, g - 1) * projective_space(g, e - 2 * g + 1).tate_twist(g - 1)
         for k in range(2 * g - 2 - i):
@@ -262,7 +250,4 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
             twists = IntPoly.monomial(3 * g - 3 - 2 * k) + IntPoly.monomial(k)
             acc = acc + sym_curve(g, k) * projective_space(g, e - 2 * g + 1) * twists
         acc = acc + jac * from_tate_poly(g, sym_coeff_poly(g, i, e, g))
-        result = jac * acc
-    if not result.is_effective():
-        raise ArithmeticError(f"pair class for {spec} has a negative coefficient")
-    return result
+    return check_effective(jac * acc, f"pair class for {spec}")

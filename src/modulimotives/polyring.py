@@ -25,9 +25,9 @@ class NonExactDivision(ArithmeticError):
     """
 
 
-def _as_int(c: object) -> int:
+def _as_int(c: object, what: str = "coefficients") -> int:
     if isinstance(c, bool) or not isinstance(c, int):
-        raise TypeError(f"coefficients must be int, got {type(c).__name__}")
+        raise TypeError(f"{what} must be int, got {type(c).__name__}")
     return c
 
 
@@ -295,7 +295,7 @@ class BiPoly:
         data: dict[tuple[int, int], int] = {}
         if coeffs:
             for key, c in coeffs.items():
-                p, q = key
+                p, q = (_as_int(x, "exponents") for x in key)
                 if p < 0 or q < 0:
                     raise ValueError(f"negative exponent pair {key}")
                 c = _as_int(c)

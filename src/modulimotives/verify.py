@@ -18,6 +18,7 @@ from .motive import UsageError, jacobian, projective_space, sym_curve
 from .pairs import (
     ChamberSpec,
     folded_coeff_poly,
+    pair_dimension,
     pair_motive_flip,
     pair_motive_geo,
     pair_motive_sym,
@@ -71,7 +72,7 @@ def sweep_route_agreement(max_genus: int) -> SweepResult:
             flip = pair_motive_flip(spec)
             top = flip.poincare_polynomial().degree
             result.check(
-                top == 2 * (spec.e + 2 * g - 2),
+                top == 2 * pair_dimension(spec),
                 f"{spec}: top degree {top} != twice the dimension",
             )
             if spec.i < spec.e // 2 <= 2 * g - 3:
@@ -116,38 +117,36 @@ def sweep_positivity(max_genus: int) -> SweepResult:
     """
     result = SweepResult("positivity")
     for g in range(2, max_genus + 1):
-        for e in range(2, 4 * g - 5 + 1):
-            for i in range(0, (e - 1) // 2 + 1):
-                if 2 * i >= e:
-                    continue
-                for b in range(i + 1):
-                    try:
-                        q = sym_coeff_poly(g, i, e, b)
-                    except NonExactDivision:
-                        result.check(
-                            False, f"g={g}, i={i}, e={e}, b={b}: division not exact"
-                        )
-                        continue
-                    if b < e + g - 1 - 2 * i:
-                        ok = q.is_nonneg() and not q.is_zero()
-                    elif b == e + g - 1 - 2 * i:
-                        ok = q.is_zero()
-                    else:
-                        ok = (-q).is_nonneg() and not q.is_zero()
-                    result.check(ok, f"g={g}, i={i}, e={e}, b={b}: wrong sign pattern")
-                    admissible = (
-                        e + g - 1 - 2 * i < b <= i < e // 2 <= 2 * g - 3
+        for spec in _chamber_specs(g):
+            e, i = spec.e, spec.i
+            for b in range(i + 1):
+                try:
+                    q = sym_coeff_poly(g, i, e, b)
+                except NonExactDivision:
+                    result.check(
+                        False, f"g={g}, i={i}, e={e}, b={b}: division not exact"
                     )
-                    if admissible:
-                        result.check(
-                            b >= g + 1,
-                            f"g={g}, i={i}, e={e}, b={b}: hypothesis fails to force b >= g+1",
-                        )
-                        r = folded_coeff_poly(g, i, e, b)
-                        result.check(
-                            r.is_nonneg(),
-                            f"g={g}, i={i}, e={e}, b={b}: folded polynomial negative",
-                        )
+                    continue
+                if b < e + g - 1 - 2 * i:
+                    ok = q.is_nonneg() and not q.is_zero()
+                elif b == e + g - 1 - 2 * i:
+                    ok = q.is_zero()
+                else:
+                    ok = (-q).is_nonneg() and not q.is_zero()
+                result.check(ok, f"g={g}, i={i}, e={e}, b={b}: wrong sign pattern")
+                admissible = (
+                    e + g - 1 - 2 * i < b <= i < e // 2 <= 2 * g - 3
+                )
+                if admissible:
+                    result.check(
+                        b >= g + 1,
+                        f"g={g}, i={i}, e={e}, b={b}: hypothesis fails to force b >= g+1",
+                    )
+                    r = folded_coeff_poly(g, i, e, b)
+                    result.check(
+                        r.is_nonneg(),
+                        f"g={g}, i={i}, e={e}, b={b}: folded polynomial negative",
+                    )
     return result
 
 

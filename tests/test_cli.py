@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -226,7 +227,6 @@ class TestVerifyCommand:
 class TestInternalErrors:
     @pytest.fixture(autouse=True)
     def fresh_caches(self):
-        higgs_module.higgs_motive.cache_clear()
         higgs_module.higgs_motive_mod_jac.cache_clear()
         pairs_module.pair_motive_flip.cache_clear()
         yield
@@ -285,6 +285,19 @@ class TestInternalErrors:
         assert not out
         assert err == "internal error: coefficients must be IntPoly\n"
 
+    @pytest.mark.parametrize("error", [KeyError, IndexError, RecursionError])
+    def test_any_other_exception_exits_three(self, capsys, monkeypatch, error):
+        def broken(g, j):
+            raise error("broken lookup")
+
+        monkeypatch.setattr(pairs_module, "sym_curve", broken)
+        argv = ("pairs", "--genus", "2", "--e", "3", "--chamber", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert not out
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "broken lookup" in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -331,3 +344,20 @@ class TestEntryPoints:
             env=src_env(),
         )
         assert proc.returncode == 2
+
+    def test_closed_stdout_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "modulimotives", "verify", "--suite", "all",
+                 "--max-genus", "2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=src_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""

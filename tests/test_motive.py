@@ -343,3 +343,8 @@ class TestSerialization:
             MotiveClass(2, {(3,): IntPoly.one()})
         with pytest.raises(TypeError):
             MotiveClass(2, {(1,): 1})
+
+    @pytest.mark.parametrize("mono", [(1.0,), (True,), (1.5,), (1, 2.0)])
+    def test_constructor_rejects_non_int_indices(self, mono):
+        with pytest.raises(TypeError, match="not an int"):
+            MotiveClass(2, {mono: IntPoly.one()})

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from modulimotives import (
     HypothesisViolation,
     IntPoly,
     InvalidChamber,
+    MotiveClass,
     OnWall,
     OutOfRange,
     chamber_of,
@@ -222,6 +224,17 @@ class TestClosedFormRoutes:
     def test_geo_hypothesis_violation(self):
         with pytest.raises(HypothesisViolation):
             pair_motive_geo(ChamberSpec(g=2, e=4, i=1))  # e > 4g-5
+
+
+class TestEffectivityCheck:
+    @pytest.mark.parametrize("route", [pair_motive_flip, pair_motive_sym, pair_motive_geo])
+    def test_every_route_names_its_spec(self, monkeypatch, route):
+        spec = ChamberSpec(g=3, e=4, i=1)
+        pair_motive_flip.cache_clear()  # a cached class would skip the check
+        monkeypatch.setattr(MotiveClass, "is_effective", lambda self: False)
+        message = re.escape(f"pair class for {spec} has a negative coefficient")
+        with pytest.raises(ArithmeticError, match=message):
+            route(spec)
 
 
 class TestHodgeSymmetry:

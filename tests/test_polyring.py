@@ -177,6 +177,11 @@ class TestPublicConstructorsValidate:
         with pytest.raises(TypeError):
             BiPoly({(0, 0): bad})
 
+    @pytest.mark.parametrize("key", [(1.5, True), (True, 0), (0, 1.0)])
+    def test_bipoly_rejects_non_int_exponents(self, key):
+        with pytest.raises(TypeError, match="exponents must be int"):
+            BiPoly({key: 2})
+
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             IntPoly.monomial(-1)

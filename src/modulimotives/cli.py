@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or hypothesis error
 (a :class:`~modulimotives.motive.UsageError`), 3 any other exception, which
 means a broken internal invariant (a chamber mismatch, a negative coefficient,
 an inexact division, a ``TypeError``, ``KeyError``, any other ``ValueError``):
-one ``internal error:`` line on stderr.  When the reader of stdout goes away
+one ``internal error:`` line on stderr.  An input past its ceiling
+(:data:`MAX_GENUS`, :data:`MAX_PAIR_DEGREE`, :data:`MAX_VERIFY_GENUS`) is a
+usage error, raised before any work.  When the reader of stdout goes away
 (``... | head -1``), the command stops quietly with 141, as a command killed
 by ``SIGPIPE`` would.
 """
@@ -36,6 +38,17 @@ from .verify import SUITES, run_suite
 
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
+# Ceilings on the inputs whose cost grows without bound.  On a 2-vCPU host the
+# costliest query inside each takes seconds:
+# * genus: ``higgs`` took 4.3 s at genus 18 and grows as about g^5, so about
+#   7 s at 20; ``bundles`` took 2.0 s at 20;
+# * pair degree: ``pairs`` took 2.4 s at genus 20, e = 300, and grows as about
+#   e^2.5, so about 5 s at 400;
+# * ``verify --suite all`` took 6.4 s at max-genus 10.
+MAX_GENUS = 20
+MAX_PAIR_DEGREE = 400
+MAX_VERIFY_GENUS = 10
+
 
 def render_class(cls: MotiveClass, fmt: str) -> str:
     if fmt == "class-json":
@@ -61,6 +74,18 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _at_most(value: int, name: str, bound: int) -> int:
+    if value > bound:
+        raise UsageError(f"{name} must be <= {bound}, got {value}")
+    return value
+
+
+def _add_genus_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--genus", type=int, required=True, help=f"curve genus, at most {MAX_GENUS}"
+    )
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -83,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bundles = sub.add_parser(
         "bundles", help="moduli of semistable rank-3 bundles of coprime degree"
     )
-    p_bundles.add_argument("--genus", type=int, required=True)
+    _add_genus_flag(p_bundles)
     p_bundles.add_argument("--degree", type=int, required=True)
     p_bundles.add_argument(
         "--fixed-det",
@@ -95,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser(
         "pairs", help="moduli of rank-2 pairs in a given stability chamber"
     )
-    p_pairs.add_argument("--genus", type=int, required=True)
-    p_pairs.add_argument("--e", type=int, required=True, help="pair degree")
+    _add_genus_flag(p_pairs)
+    p_pairs.add_argument(
+        "--e", type=int, required=True, help=f"pair degree, 2..{MAX_PAIR_DEGREE}"
+    )
     which = p_pairs.add_mutually_exclusive_group(required=True)
     which.add_argument("--chamber", type=int, help="chamber index i")
     which.add_argument(
@@ -115,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_higgs = sub.add_parser(
         "higgs", help="moduli of rank-3 Higgs bundles of coprime degree"
     )
-    p_higgs.add_argument("--genus", type=int, required=True)
+    _add_genus_flag(p_higgs)
     p_higgs.add_argument("--degree", type=int, required=True)
     p_higgs.add_argument(
         "--mod-jac",
@@ -126,19 +153,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-checking sweeps")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_verify.add_argument("--max-genus", type=int, default=4)
+    p_verify.add_argument(
+        "--max-genus",
+        type=int,
+        default=4,
+        help=f"largest genus swept, 2..{MAX_VERIFY_GENUS} (default: 4)",
+    )
 
     return parser
 
 
 def _cmd_bundles(args: argparse.Namespace) -> int:
-    spec = BundleSpec(args.genus, args.degree)
+    spec = BundleSpec(_at_most(args.genus, "genus", MAX_GENUS), args.degree)
     cls = bundle_motive_fixed_det(spec) if args.fixed_det else bundle_motive(spec)
     print(render_class(cls, args.format))
     return 0
 
 
 def _cmd_pairs(args: argparse.Namespace) -> int:
+    _at_most(args.genus, "genus", MAX_GENUS)
+    _at_most(args.e, "pair degree e", MAX_PAIR_DEGREE)
     if args.chamber is not None:
         index = args.chamber
     else:
@@ -154,14 +188,15 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_higgs(args: argparse.Namespace) -> int:
-    spec = HiggsSpec(args.genus, args.degree)
+    spec = HiggsSpec(_at_most(args.genus, "genus", MAX_GENUS), args.degree)
     cls = higgs_motive_mod_jac(spec) if args.mod_jac else higgs_motive(spec)
     print(render_class(cls, args.format))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite, args.max_genus)
+    max_genus = _at_most(args.max_genus, "max genus", MAX_VERIFY_GENUS)
+    results = run_suite(args.suite, max_genus)
     for result in results:
         print(result.render())
     return 0 if all(r.passed for r in results) else 1

@@ -32,16 +32,17 @@ hypothesis; the closed forms are verification-only.
 
 Every component carries exactly one Jacobian factor, so the class is
 ``jacobian * Q``; :func:`higgs_motive_mod_jac`, the one assembly, builds Q in
-factored form.  A :class:`FixedComponent` builds its class only when read, as
-the per-component reference that the twist audit and the tests use.
+factored form.  A :class:`FixedComponent` holds no class, only the factors of
+its cofactor, which the twist audit realizes one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
+from operator import mul
 
 from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
 from .motive import MotiveClass, check_effective, jacobian, sym_curve, zero
@@ -73,7 +74,7 @@ class HiggsSpec:
 
 @dataclass(frozen=True)
 class FixedComponent:
-    """One component of the fixed locus; its class is built each time it is read."""
+    """One fixed component, isomorphic to ``Jacobian x`` the product of ``factors``."""
 
     spec: HiggsSpec
     kind: str  # "(3)", "(1,1,1)", "(1,2)" or "(2,1)"
@@ -83,19 +84,20 @@ class FixedComponent:
     chamber: ChamberSpec | None = None  # the pair moduli space of (1,2)/(2,1)
 
     @property
-    def cofactor(self) -> MotiveClass:
-        """The class with its Jacobian factor removed."""
+    def factors(self) -> tuple[MotiveClass, ...]:
+        """The fixed-determinant bundle class for (3), ``sym_curve(m1)`` and
+        ``sym_curve(m2)`` for (1,1,1), the pair class for (1,2) and (2,1)."""
         if self.kind == "(3)":
-            return bundle_motive_fixed_det(self.spec.bundle_spec())
+            return (bundle_motive_fixed_det(self.spec.bundle_spec()),)
         if self.kind == "(1,1,1)":
             m1, m2 = self.params
-            return sym_curve(self.spec.g, m1) * sym_curve(self.spec.g, m2)
-        return pair_motive_flip(self.chamber)
+            return (sym_curve(self.spec.g, m1), sym_curve(self.spec.g, m2))
+        return (pair_motive_flip(self.chamber),)
 
     @property
-    def motive(self) -> MotiveClass:
-        """The class of the component, ``jacobian * cofactor``."""
-        return jacobian(self.spec.g) * self.cofactor
+    def cofactor(self) -> MotiveClass:
+        """The class with its Jacobian factor removed, the product of ``factors``."""
+        return reduce(mul, self.factors)
 
 
 def higgs_dimension(g: int) -> int:
@@ -249,20 +251,18 @@ class AuditReport:
 def audit_fixed_loci(spec: HiggsSpec) -> AuditReport:
     """Check ``twist = 9(g-1)+1 - dim`` for every fixed component.
 
-    The dimension is recomputed independently from the component's class as
-    half its top realized degree, so the audit catches both wrong twists and
-    wrong component classes.
+    The dimension is recomputed from the component's own classes as half the
+    top degree of P(jacobian * factors), P the Poincare realization: a ring map
+    into the integral domain Z[t], so degrees add and no product is formed.
+    The audit catches both wrong twists and wrong component classes.
     """
     half = bundle_dimension(spec.g)
+    jacobian_top = jacobian(spec.g).poincare_polynomial().degree
     rows = []
     for comp in fixed_components(spec):
-        top = comp.motive.poincare_polynomial().degree
+        top = jacobian_top + sum(f.poincare_polynomial().degree for f in comp.factors)
         recomputed = top // 2
-        ok = (
-            top % 2 == 0
-            and recomputed == comp.dimension
-            and comp.twist == half - comp.dimension
-        )
+        ok = top == 2 * comp.dimension and comp.twist == half - comp.dimension
         rows.append(
             AuditRow(comp.kind, comp.params, comp.dimension, comp.twist, recomputed, ok)
         )

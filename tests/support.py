@@ -12,12 +12,17 @@ from pathlib import Path
 
 from modulimotives import (
     BiPoly,
+    HiggsSpec,
     IntPoly,
     MotiveClass,
+    fixed_components,
     from_tate_poly,
+    jacobian,
     sym_curve,
     sym_h1_hodge_poly,
 )
+from modulimotives.bundles import bundle_dimension
+from modulimotives.higgs import AuditReport, AuditRow
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,3 +116,22 @@ def hodge_realization_reference(cls: MotiveClass) -> BiPoly:
             factor = factor * sym_h1_hodge_poly(cls.genus, b)
         total = total + factor
     return total
+
+
+def audit_reference(spec: HiggsSpec) -> AuditReport:
+    """The twist audit through each component's full class: the top degree of
+    the realized product ``jacobian(g) * cofactor``, one product and one
+    realization per component."""
+    half = bundle_dimension(spec.g)
+    rows = []
+    for comp in fixed_components(spec):
+        top = (jacobian(spec.g) * comp.cofactor).poincare_polynomial().degree
+        ok = (
+            top % 2 == 0
+            and top // 2 == comp.dimension
+            and comp.twist == half - comp.dimension
+        )
+        rows.append(
+            AuditRow(comp.kind, comp.params, comp.dimension, comp.twist, top // 2, ok)
+        )
+    return AuditReport(spec.g, spec.d, tuple(rows))

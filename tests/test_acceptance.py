@@ -94,7 +94,7 @@ def test_criterion_5_symmetric_power_identity(capsys):
 
 def test_criterion_6_lagrangian_twist_audit(capsys):
     started = time.time()
-    result = sweep_twist_audit(5)
+    result = sweep_twist_audit(8)
     assert result.passed, result.render()
     with capsys.disabled():
         _announce(6, f"twist-audit ({result.checked} checks)", started)

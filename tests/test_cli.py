@@ -324,6 +324,53 @@ class TestUsageErrors:
         assert issubclass(UsageError, ValueError)
 
 
+class TestInputCeilings:
+    # each case is one past its ceiling; a query at the ceiling runs for seconds
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("higgs", "--genus", "21", "--degree", "1"), "genus must be <= 20, got 21"),
+            (("bundles", "--genus", "21", "--degree", "1"), "genus must be <= 20, got 21"),
+            (
+                ("pairs", "--genus", "21", "--e", "3", "--chamber", "1"),
+                "genus must be <= 20, got 21",
+            ),
+            (
+                ("pairs", "--genus", "2", "--e", "401", "--chamber", "200"),
+                "pair degree e must be <= 400, got 401",
+            ),
+            (
+                ("pairs", "--genus", "2", "--e", "401", "--sigma", "1/3"),
+                "pair degree e must be <= 400, got 401",
+            ),
+            (
+                ("verify", "--suite", "all", "--max-genus", "11"),
+                "max genus must be <= 10, got 11",
+            ),
+        ],
+    )
+    def test_one_past_the_ceiling_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert not out
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command,stated",
+        [
+            ("bundles", "curve genus, at most 20"),
+            ("pairs", "pair degree, 2..400"),
+            ("higgs", "curve genus, at most 20"),
+            ("verify", "largest genus swept, 2..10"),
+        ],
+    )
+    def test_help_states_the_ceiling(self, capsys, command, stated):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert stated in " ".join(capsys.readouterr().out.split())
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,6 +1,8 @@
 import pytest
 
 import modulimotives.higgs as higgs_module
+import modulimotives.motive as motive_module
+import modulimotives.pairs as pairs_module
 from modulimotives import (
     ChamberMismatch,
     HiggsSpec,
@@ -18,8 +20,11 @@ from modulimotives import (
     sym_curve,
     zero,
 )
+from modulimotives.bundles import bundle_dimension
+from modulimotives.cli import main
+from modulimotives.higgs import FixedComponent
 from golden_diamonds import GENUS2_HIGGS, GENUS3_HIGGS_MOD_JAC
-from support import hodge_realization_reference, tate_range, tate_sum
+from support import audit_reference, hodge_realization_reference, tate_range, tate_sum
 
 
 class TestSpecValidation:
@@ -62,7 +67,9 @@ class TestTripleLineComponents:
     def test_motive_is_jacobian_times_symmetric_powers(self):
         comp = fixed_locus_111(HiggsSpec(2, 1))[1]
         assert comp.params == (1, 2)
-        assert comp.motive == jacobian(2) * sym_curve(2, 1) * sym_curve(2, 2)
+        assert comp.factors == (sym_curve(2, 1), sym_curve(2, 2))
+        expected = jacobian(2) * sym_curve(2, 1) * sym_curve(2, 2)
+        assert jacobian(2) * comp.cofactor == expected
 
 
 class TestPairComponents:
@@ -94,10 +101,12 @@ class TestPairComponents:
         # the (2,1) components for degree d match the (1,2) components for
         # degree -d, component by component
         lhs = [
-            (c.dimension, c.twist, c.motive) for c in fixed_locus_21(HiggsSpec(g, d))
+            (c.dimension, c.twist, jacobian(g) * c.cofactor)
+            for c in fixed_locus_21(HiggsSpec(g, d))
         ]
         rhs = [
-            (c.dimension, c.twist, c.motive) for c in fixed_locus_12(HiggsSpec(g, -d))
+            (c.dimension, c.twist, jacobian(g) * c.cofactor)
+            for c in fixed_locus_12(HiggsSpec(g, -d))
         ]
         assert lhs == rhs
 
@@ -199,7 +208,8 @@ class TestModJacobian:
             spec = HiggsSpec(g, d)
             reference = zero(g)
             for comp in fixed_components(spec):
-                reference = reference + comp.motive.tate_twist(comp.twist)
+                component = jacobian(g) * comp.cofactor
+                reference = reference + component.tate_twist(comp.twist)
             assert higgs_motive(spec) == reference
 
     @pytest.mark.parametrize("g", range(2, 7))
@@ -234,3 +244,53 @@ class TestAudit:
         (comp,) = fixed_locus_bundles(HiggsSpec(2, 1))
         assert comp.twist == 0
         assert comp.dimension == 9 * (2 - 1) + 1
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_factor_degrees_match_the_product_reference(self, g):
+        for d in (1, 2, -2):
+            spec = HiggsSpec(g, d)
+            assert audit_fixed_loci(spec) == audit_reference(spec)
+
+
+class TestAuditFailures:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        higgs_module.higgs_motive_mod_jac.cache_clear()
+        pairs_module.pair_motive_flip.cache_clear()
+        yield
+        pairs_module.pair_motive_flip.cache_clear()
+
+    @pytest.fixture(params=["wrong factor", "wrong twist"])
+    def broken_kind(self, request, monkeypatch):
+        """Break one kind of component; return that kind."""
+        if request.param == "wrong factor":
+            def shifted(g, j):
+                return motive_module.sym_curve(g, j + 1)
+
+            monkeypatch.setattr(higgs_module, "sym_curve", shifted)
+            return "(1,1,1)"
+
+        def twisted(spec):
+            return [FixedComponent(spec, "(3)", (), bundle_dimension(spec.g), 1)]
+
+        monkeypatch.setattr(higgs_module, "fixed_locus_bundles", twisted)
+        return "(3)"
+
+    def test_broken_rows_read_fail(self, broken_kind):
+        report = audit_fixed_loci(HiggsSpec(2, 1))
+        assert {row.kind for row in report.rows if not row.ok} == {broken_kind}
+        assert not report.all_pass
+        lines = report.render().splitlines()
+        assert lines[-1] == "AUDIT FAILED"
+        assert all(
+            ln.endswith("FAIL") == (f"kind={broken_kind} " in ln)
+            for ln in lines
+            if "kind=" in ln
+        )
+
+    def test_verify_exits_one_naming_the_counterexample(self, capsys, broken_kind):
+        code = main(["verify", "--suite", "audit", "--max-genus", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("twist-audit: FAIL (")
+        assert f"first counterexample: g=2, d=1, kind={broken_kind}, params=" in out

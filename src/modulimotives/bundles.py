@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .motive import MotiveClass, UsageError, jacobian, sym_curve, zero
-from .polyring import IntPoly
+from .motive import MotiveClass, UsageError, jacobian, sum_of_products, sym_curve, zero
 
 
 class InvalidDegree(UsageError):
@@ -52,26 +51,26 @@ def bundle_dimension(g: int) -> int:
     return 9 * (g - 1) + 1
 
 
-def _in_index_region(g: int, k1: int, k2: int) -> bool:
-    s = k1 + k2
-    return s < 2 * g - 2 or (s == 2 * g - 2 and k1 < g - 1)
-
-
 @lru_cache(maxsize=None)
 def _fixed_det_motive(g: int) -> MotiveClass:
-    # the module docstring's double sum, grouped by k1: one product per k1
-    acc = (sym_curve(g, g - 1) * sym_curve(g, g - 1)).tate_twist(3 * g - 3)
+    # The module docstring's double sum, grouped by k1.  For k1 the k2 range
+    # over 0..K-1, K = 2g-2-k1 + [k1 < g-1], so with the running sums
+    # P(K) = sum_(k2<K) S(k2) L^(2k2) and N(K) = sum_(k2<K) S(k2) L^(3(K-1-k2))
+    # the inner sum is L^k1 P(K) + L^(8g-8-2k1-3(K-1)) N(K).
+    prefix, horner = [zero(g)], [zero(g)]
+    for k2 in range(2 * g - 1):
+        s = sym_curve(g, k2)
+        prefix.append(prefix[-1] + s.tate_twist(2 * k2))
+        horner.append(horner[-1].tate_twist(3) + s)
+    middle = sym_curve(g, g - 1)
+    pairs = [(middle, middle.tate_twist(3 * g - 3))]
     for k1 in range(2 * g - 1):
-        inner = zero(g)
-        for k2 in range(2 * g - 1 - k1):
-            if not _in_index_region(g, k1, k2):
-                continue
-            twists = IntPoly.monomial(k1 + 2 * k2) + IntPoly.monomial(
-                8 * g - 8 - 2 * k1 - 3 * k2
-            )
-            inner = inner + sym_curve(g, k2) * twists
-        acc = acc + sym_curve(g, k1) * inner
-    return acc
+        K = 2 * g - 2 - k1 + (k1 < g - 1)
+        inner = prefix[K].tate_twist(k1) + horner[K].tate_twist(
+            8 * g - 8 - 2 * k1 - 3 * (K - 1)
+        )
+        pairs.append((sym_curve(g, k1), inner))
+    return sum_of_products(pairs)
 
 
 def bundle_motive_fixed_det(spec: BundleSpec) -> MotiveClass:

@@ -40,11 +40,11 @@ FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
 # Ceilings on the inputs whose cost grows without bound.  On a 2-vCPU host the
 # costliest query inside each takes seconds:
-# * genus: ``higgs`` took 4.3 s at genus 18 and grows as about g^5, so about
-#   7 s at 20; ``bundles`` took 2.0 s at 20;
+# * genus: ``higgs`` took 1.0 s at genus 18 and 1.2-1.5 s at 20; ``bundles``
+#   took 0.7 s at 20;
 # * pair degree: ``pairs`` took 2.4 s at genus 20, e = 300, and grows as about
 #   e^2.5, so about 5 s at 400;
-# * ``verify --suite all`` took 6.4 s at max-genus 10.
+# * ``verify --suite all`` took 4.6 s at max-genus 10.
 MAX_GENUS = 20
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 10

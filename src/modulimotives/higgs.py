@@ -41,11 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby
 from operator import mul
 
 from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
-from .motive import MotiveClass, check_effective, jacobian, sym_curve, zero
+from .motive import (
+    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, zero
+)
 from .pairs import ChamberSpec, chamber_of, pair_dimension, pair_motive_flip
 
 
@@ -188,17 +189,25 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
 
     Every fixed component carries exactly one Jacobian factor: the type-(3)
     component through the varying determinant, the others through their
-    Picard factor.  Q is the sum of the components' cofactors, each twisted,
-    with the (1,1,1) part grouped by ``m1``:
-    ``sym_curve(m1) * sum over m2 of sym_curve(m2) * L^twist``.
+    Picard factor.  Q is the sum of the components' cofactors, each twisted.
+    The (1,1,1) components of one ``m1`` have every ``m2 = m1 + d (mod 3)``
+    up to a largest ``M``, so they sum to ``sym_curve(m1) * L^(8g-8-m1-top)``
+    times ``R(M)``, the running sum of ``sym_curve(m2) * L^(top-m2)`` over
+    ``m2 <= M`` in the residue class of ``M``.
     """
     g = spec.g
     acc = bundle_motive_fixed_det(spec.bundle_spec())
-    for m1, comps in groupby(fixed_locus_111(spec), key=lambda c: c.params[0]):
-        inner = zero(g)
-        for comp in comps:
-            inner = inner + sym_curve(g, comp.params[1]).tate_twist(comp.twist)
-        acc = acc + sym_curve(g, m1) * inner
+    largest = {c.params[0]: c.params[1] for c in fixed_locus_111(spec)}  # M by m1
+    top = max(largest.values())
+    running, upto = [zero(g)] * 3, []
+    for m2 in range(top + 1):
+        running[m2 % 3] = running[m2 % 3] + sym_curve(g, m2).tate_twist(top - m2)
+        upto.append(running[m2 % 3])
+    pairs = [
+        (sym_curve(g, m1), upto[m2].tate_twist(8 * g - 8 - m1 - top))
+        for m1, m2 in largest.items()
+    ]
+    acc = acc + sum_of_products(pairs)
     for comp in fixed_locus_12(spec) + fixed_locus_21(spec):
         acc = acc + comp.cofactor.tate_twist(comp.twist)
     return acc
@@ -258,9 +267,16 @@ def audit_fixed_loci(spec: HiggsSpec) -> AuditReport:
     """
     half = bundle_dimension(spec.g)
     jacobian_top = jacobian(spec.g).poincare_polynomial().degree
+    sym_top = lru_cache(maxsize=None)(
+        lambda m: sym_curve(spec.g, m).poincare_polynomial().degree
+    )
     rows = []
     for comp in fixed_components(spec):
-        top = jacobian_top + sum(f.poincare_polynomial().degree for f in comp.factors)
+        if comp.kind == "(1,1,1)":  # 3g-3 distinct factors, O(g^2) components
+            degrees = map(sym_top, comp.params)
+        else:
+            degrees = (f.poincare_polynomial().degree for f in comp.factors)
+        top = jacobian_top + sum(degrees)
         recomputed = top // 2
         ok = top == 2 * comp.dimension and comp.twist == half - comp.dimension
         rows.append(

@@ -71,6 +71,28 @@ def _validated_terms(
     return out
 
 
+def _pack(coeffs: tuple[int, ...], w: int) -> int:
+    """The polynomial ``coeffs`` evaluated at ``2^w``."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << w) + c
+    return packed
+
+
+def _unpack(x: int, w: int) -> list[int]:
+    """The signed base-``2^w`` digits of ``x``, lowest first: the inverse of
+    :func:`_pack` for digits of absolute value below ``2^(w-1)``.  Of ``n``
+    such digits the top one outweighs the others, so ``|x| > 2^(w(n-1) - 1)``
+    and ``n <= |x|.bit_length() // w + 1``; the list may end in zeros."""
+    half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
+    for _ in range(abs(x).bit_length() // w + 1):  # peel off the lowest digit
+        c, x = x & mask, x >> w
+        if c >= half:
+            c, x = c - mask - 1, x + 1
+        digits.append(c)
+    return digits
+
+
 class MotiveClass:
     """An element of the curve-generated Grothendieck ring, in normal form.
 
@@ -109,7 +131,7 @@ class MotiveClass:
         return dict(self._terms)
 
     def coefficient(self, mono: SymMonomial) -> IntPoly:
-        return self._terms.get(tuple(mono), IntPoly.zero())
+        return self._terms.get(tuple(sorted(mono)), IntPoly.zero())
 
     def items(self) -> Iterator[tuple[SymMonomial, IntPoly]]:
         """Iterate ``(monomial, coefficient)`` sorted by monomial."""
@@ -163,23 +185,22 @@ class MotiveClass:
         return self + (-other)
 
     def __mul__(self, other: "MotiveClass | IntPoly | int") -> "MotiveClass":
+        """Product with a class, or with a polynomial in ``L`` or an int.
+
+        Class by class, each coefficient polynomial is packed into one int at
+        ``2^w`` (Kronecker substitution), each pair of monomials costs one int
+        product, and each output monomial is unpacked once as signed digits.
+        With ``w = (||self||_1 * ||other||_inf).bit_length() + 1`` the digits
+        are exact: for a fixed output monomial and power of ``L``, each
+        coefficient of ``self`` meets at most one coefficient of ``other``.
+        """
         if isinstance(other, IntPoly) or _is_int(other):
             return MotiveClass._trusted(
                 self._genus, {m: p * other for m, p in self._terms.items()}
             )
         if not isinstance(other, MotiveClass):
             return NotImplemented
-        self._check_genus(other)
-        out: dict[SymMonomial, IntPoly] = {}
-        for m1, p1 in self._terms.items():
-            for m2, p2 in other._terms.items():
-                mono = tuple(sorted(m1 + m2))
-                prod = p1 * p2
-                if mono in out:
-                    out[mono] = out[mono] + prod
-                else:
-                    out[mono] = prod
-        return MotiveClass._trusted(self._genus, out)
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -216,24 +237,17 @@ class MotiveClass:
             bound += max(map(abs, poly.coeffs)) * hmax
             terms.append((poly.coeffs, table))
         w = bound.bit_length() + 1
-        half, mask = 1 << (w - 1), (1 << w) - 1
         lines: dict[int, int] = {}
         for coeffs, table in terms:
-            packed = 0
-            for c in reversed(coeffs):
-                packed = (packed << w) + c
+            packed = _pack(coeffs, w)
             for d, m, h in table:
                 lines[d] = lines.get(d, 0) + ((h * packed) << (w * m))
         out: dict[tuple[int, int], int] = {}
         for d, x in lines.items():
             p, q = (d, 0) if d > 0 else (0, -d)
-            while x:  # peel off the lowest signed digit
-                c, x = x & mask, x >> w
-                if c >= half:
-                    c, x = c - mask - 1, x + 1
+            for k, c in enumerate(_unpack(x, w)):
                 if c:
-                    out[p, q] = c
-                p, q = p + 1, q + 1
+                    out[p + k, q + k] = c
         return BiPoly._trusted(out)
 
     def poincare_polynomial(self) -> IntPoly:
@@ -281,6 +295,29 @@ class MotiveClass:
             name = "1" if not mono else "*".join(f"S{b}" for b in mono)
             parts.append(f"{name}:({poly.to_str('L')})")
         return f"MotiveClass(g={self._genus}, " + " + ".join(parts) + ")"
+
+
+def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass:
+    """The sum of ``a * b`` over a nonempty list of pairs of classes of one
+    genus, packed as in :meth:`MotiveClass.__mul__` at the summed bound
+    ``sum of ||a||_1 * ||b||_inf``, so each output monomial is unpacked once."""
+    g, bound, sums = pairs[0][0].genus, 0, {}
+    for a, b in pairs:
+        pairs[0][0]._check_genus(a)
+        a._check_genus(b)
+        norm_inf = max((max(map(abs, p.coeffs)) for p in b._terms.values()), default=0)
+        bound += sum(sum(map(abs, p.coeffs)) for p in a._terms.values()) * norm_inf
+    w = bound.bit_length() + 1
+    for a, b in pairs:
+        packed = [(m, _pack(p.coeffs, w)) for m, p in b._terms.items()]
+        for m1, p1 in a._terms.items():
+            x1 = _pack(p1.coeffs, w)
+            for m2, x2 in packed:
+                mono = tuple(sorted(m1 + m2))
+                sums[mono] = sums.get(mono, 0) + x1 * x2
+    return MotiveClass._trusted(
+        g, {m: IntPoly._trusted(_unpack(x, w)) for m, x in sums.items()}
+    )
 
 
 def check_effective(cls: MotiveClass, name: str) -> MotiveClass:
@@ -337,15 +374,19 @@ def sym_curve(g: int, j: int) -> MotiveClass:
     """Class of the j-th symmetric power of the curve, in normal form.
 
     Expanding the j-th symmetric power of ``1 + h^1 + L`` gives
-    ``sum over b of S_b * (1 + L + ... + L^(j-b))``, then each ``S_b`` is
-    reduced.
+    ``sum over b of S_b * (1 + L + ... + L^(j-b))``.  For ``b < g`` the
+    reduced ``S_(2g-b) = S_b * L^(g-b)`` adds ``L^(g-b) + ... + L^(j-g)`` to
+    the coefficient of ``S_b`` (``S_0 = 1``).
     """
     if j < 0:
         raise ValueError(f"negative symmetric power {j}")
-    acc = zero(g)
-    for b in range(min(j, 2 * g) + 1):
-        acc = acc + sym_h1(g, b) * IntPoly.geometric(0, j - b)
-    return acc
+    terms = {}
+    for b in range(min(j, g) + 1):
+        coeffs = [1] * (j - b + 1)
+        if b < g:
+            coeffs[g - b : j - g + 1] = [2] * (j - 2 * g + b + 1)
+        terms[(b,) if b else ()] = IntPoly._trusted(coeffs)
+    return MotiveClass._trusted(g, terms)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,9 @@ from modulimotives import (
     from_tate_poly,
     jacobian,
     sym_curve,
+    sym_h1,
     sym_h1_hodge_poly,
+    zero,
 )
 from modulimotives.bundles import bundle_dimension
 from modulimotives.higgs import AuditReport, AuditRow
@@ -88,6 +90,27 @@ def tate_sum(g: int, *exponents: int) -> MotiveClass:
 def tate_range(g: int, low: int, high: int) -> MotiveClass:
     """The class ``L^low + ... + L^high``."""
     return from_tate_poly(g, IntPoly.geometric(low, high))
+
+
+def class_product_reference(a: MotiveClass, b: MotiveClass) -> MotiveClass:
+    """The class product pair by pair: one schoolbook ``IntPoly`` product per
+    pair of monomials, added into the result with ``IntPoly.__add__``."""
+    assert a.genus == b.genus
+    out: dict[tuple[int, ...], IntPoly] = {}
+    for m1, p1 in a.items():
+        for m2, p2 in b.items():
+            mono = tuple(sorted(m1 + m2))
+            out[mono] = out.get(mono, IntPoly.zero()) + p1 * p2
+    return MotiveClass(a.genus, out)
+
+
+def sym_curve_reference(g: int, j: int) -> MotiveClass:
+    """The j-th symmetric power of the curve as the sum over b of the reduced
+    generator ``S_b`` times ``1 + L + ... + L^(j-b)``, one class at a time."""
+    acc = zero(g)
+    for b in range(min(j, 2 * g) + 1):
+        acc = acc + sym_h1(g, b) * IntPoly.geometric(0, j - b)
+    return acc
 
 
 def fixed_det_double_sum(g: int) -> MotiveClass:

@@ -21,7 +21,8 @@ from modulimotives import (
     unit,
     zero,
 )
-from support import hodge_realization_reference
+from modulimotives.motive import sum_of_products
+from support import class_product_reference, hodge_realization_reference, sym_curve_reference
 
 
 def L(*coeffs: int) -> IntPoly:
@@ -72,6 +73,11 @@ class TestSymCurve:
             g, {(): L(1, 1, 1, 1), (1,): L(1, 2, 1), (2,): L(1, 1)}
         )
         assert sym_curve(g, j) == expected
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_direct_construction_matches_the_sum_of_generators(self, g):
+        for j in range(6 * g + 1):
+            assert sym_curve(g, j) == sym_curve_reference(g, j)
 
     def test_third_power_genus_two_is_line_bundle_over_jacobian(self):
         # C^(3) at g=2 is a projective-line bundle over the Jacobian
@@ -133,6 +139,10 @@ class TestRingOperations:
             jacobian(2) + jacobian(3)
         with pytest.raises(GenusMismatch):
             jacobian(2) * unit(3)
+
+    def test_coefficient_ignores_the_order_of_the_indices(self):
+        square = sym_curve(3, 2) * sym_curve(3, 2)
+        assert square.coefficient((2, 1)) == square.coefficient((1, 2)) == L(2, 2)
 
     def test_subtraction_and_effectivity(self):
         diff = jacobian(2) - unit(2)
@@ -232,6 +242,57 @@ class TestPackedRealization:
     def test_genus_one(self, a, b):
         for cls in (a, a - b, a * b):
             assert cls.hodge_realization() == hodge_realization_reference(cls)
+
+
+class TestPackedProduct:
+    """The packed class product against the pair-by-pair schoolbook product.
+    A product is packed with ``w`` bits per digit, where ``2^(w-1) - 1`` is
+    the smallest such number >= ``||a||_1 * ||b||_inf``."""
+
+    @given(genus_and_classes)
+    def test_matches_the_schoolbook_reference(self, data):
+        _, a, b = data
+        for x, y in ((a, b), (b, a), (a - b, a), (a, a)):
+            assert x * y == class_product_reference(x, y)
+
+    @given(st.integers(1, 4).flatmap(lambda g: st.lists(
+        st.tuples(_classes_strategy(g), _classes_strategy(g)), min_size=1, max_size=4
+    )))
+    def test_sum_of_products_matches_the_sum_of_references(self, pairs):
+        expected = zero(pairs[0][0].genus)
+        for a, b in pairs:
+            expected = expected + class_product_reference(a, b)
+        assert sum_of_products(pairs) == expected
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_zero_class(self, g):
+        for cls in (zero(g), jacobian(g), MotiveClass(g, {(1,): L(-(2**80), 3)})):
+            assert (zero(g) * cls).is_zero() and (cls * zero(g)).is_zero()
+        assert sum_of_products([(zero(g), zero(g))]).is_zero()
+
+    def test_a_monomial_that_cancels_to_zero(self):
+        # (S_1 + c) * (S_1 - c) = S_1^2 - c^2: the terms of S_1 cancel
+        c = L(2**70, -3, 0, 1)
+        plus = MotiveClass(2, {(1,): L(1), (): c})
+        minus = MotiveClass(2, {(1,): L(1), (): -c})
+        product = plus * minus
+        assert product.monomials() == [(), (1, 1)]
+        assert product == class_product_reference(plus, minus)
+        assert product.coefficient(()) == -(c * c)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    def test_digits_at_the_edge_of_the_width(self, n):
+        # ||a||_1 = 1 and ||b||_inf = 2^n - 1, so w = n + 1 and every digit
+        # is +-(2^(w-1) - 1), alternating so that each one borrows
+        big = 2**n - 1
+        b = MotiveClass(3, {(1,): L(*[big, -big] * 3, big), (2,): L(-big, big)})
+        for a in (unit(3), -unit(3), sym_h1(3, 3), tate(3, 2)):
+            assert a * b == class_product_reference(a, b)
+            assert b * a == class_product_reference(b, a)
+
+    def test_genus_mismatch_in_a_sum_of_products(self):
+        with pytest.raises(GenusMismatch):
+            sum_of_products([(unit(2), unit(2)), (unit(3), unit(3))])
 
 
 class TestRingProperties:

@@ -18,29 +18,34 @@ through the coprimality validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
-from .motive import MotiveClass, UsageError, jacobian, sum_of_products, sym_curve, zero
+from .motive import (
+    MotiveClass, UsageError, check_ints, jacobian, sum_of_products, sym_curve, zero
+)
 
 
 class InvalidDegree(UsageError):
     """Degree not coprime to 3 (semistable = stable fails)."""
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    """Genus and degree for the rank-3 bundle moduli space."""
+class BundleSpec(namedtuple("BundleSpec", "g d")):
+    """Genus and degree for the rank-3 bundle moduli space: a validated
+    tuple, equal to the tuple of the same ints (harmless, as each cache is
+    keyed by one kind of spec)."""
 
-    g: int
-    d: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise UsageError(f"genus must be >= 2, got {self.g}")
-        if gcd(self.d, 3) != 1:
-            raise InvalidDegree(f"degree {self.d} is not coprime to 3")
+    def __new__(cls, g: int, d: int) -> "BundleSpec":
+        check_ints(g=g, d=d)
+        if g < 2:
+            raise UsageError(f"genus must be >= 2, got {g}")
+        if gcd(d, 3) != 1:
+            raise InvalidDegree(f"degree {d} is not coprime to 3")
+        return super().__new__(cls, g, d)
 
 
 def bundle_dimension_fixed_det(g: int) -> int:

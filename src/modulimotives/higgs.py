@@ -38,14 +38,14 @@ its cofactor, which the twist audit realizes one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
+from typing import NamedTuple
 
 from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
 from .motive import (
-    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, zero
+    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, unit, zero
 )
 from .pairs import ChamberSpec, chamber_of, pair_dimension, pair_motive_flip
 
@@ -54,27 +54,20 @@ class ChamberMismatch(RuntimeError):
     """Closed-form chamber index disagrees with the wall/chamber search."""
 
 
-@dataclass(frozen=True)
-class HiggsSpec:
-    """Genus and degree for the rank-3 Higgs moduli space."""
+class HiggsSpec(BundleSpec):
+    """Genus and degree for the rank-3 Higgs moduli space, which has the same
+    hypotheses as the bundle moduli space: a :class:`BundleSpec` by another
+    name (so it equals the bundle spec and the tuple of the same ints)."""
 
-    g: int
-    d: int
-
-    def __post_init__(self) -> None:
-        self.bundle_spec()  # the same genus and coprimality hypotheses
+    __slots__ = ()
 
     @property
     def x(self) -> int:
         """The representative of d mod 3 in {1, 2}."""
         return self.d % 3
 
-    def bundle_spec(self) -> BundleSpec:
-        return BundleSpec(self.g, self.d)
 
-
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(NamedTuple):
     """One fixed component, isomorphic to ``Jacobian x`` the product of ``factors``."""
 
     spec: HiggsSpec
@@ -89,7 +82,7 @@ class FixedComponent:
         """The fixed-determinant bundle class for (3), ``sym_curve(m1)`` and
         ``sym_curve(m2)`` for (1,1,1), the pair class for (1,2) and (2,1)."""
         if self.kind == "(3)":
-            return (bundle_motive_fixed_det(self.spec.bundle_spec()),)
+            return (bundle_motive_fixed_det(self.spec),)
         if self.kind == "(1,1,1)":
             m1, m2 = self.params
             return (sym_curve(self.spec.g, m1), sym_curve(self.spec.g, m2))
@@ -193,24 +186,26 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
     The (1,1,1) components of one ``m1`` have every ``m2 = m1 + d (mod 3)``
     up to a largest ``M``, so they sum to ``sym_curve(m1) * L^(8g-8-m1-top)``
     times ``R(M)``, the running sum of ``sym_curve(m2) * L^(top-m2)`` over
-    ``m2 <= M`` in the residue class of ``M``.
+    ``m2 <= M`` in the residue class of ``M``.  The type-(3) class (times the
+    unit), these (1,1,1) products and each (1,2)/(2,1) pair class (times
+    ``L^twist``) form one packed
+    :func:`~modulimotives.motive.sum_of_products`.
     """
     g = spec.g
-    acc = bundle_motive_fixed_det(spec.bundle_spec())
     largest = {c.params[0]: c.params[1] for c in fixed_locus_111(spec)}  # M by m1
     top = max(largest.values())
     running, upto = [zero(g)] * 3, []
     for m2 in range(top + 1):
         running[m2 % 3] = running[m2 % 3] + sym_curve(g, m2).tate_twist(top - m2)
         upto.append(running[m2 % 3])
-    pairs = [
+    pairs = [(bundle_motive_fixed_det(spec), unit(g))]
+    pairs += [
         (sym_curve(g, m1), upto[m2].tate_twist(8 * g - 8 - m1 - top))
         for m1, m2 in largest.items()
     ]
-    acc = acc + sum_of_products(pairs)
     for comp in fixed_locus_12(spec) + fixed_locus_21(spec):
-        acc = acc + comp.cofactor.tate_twist(comp.twist)
-    return acc
+        pairs.append((comp.cofactor, tate(g, comp.twist)))
+    return sum_of_products(pairs)
 
 
 def higgs_motive(spec: HiggsSpec) -> MotiveClass:
@@ -219,8 +214,7 @@ def higgs_motive(spec: HiggsSpec) -> MotiveClass:
     return check_effective(cls, f"Higgs class for {spec}")
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     kind: str
     params: tuple[int, ...]
     dimension: int
@@ -229,8 +223,7 @@ class AuditRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     genus: int
     degree: int
     rows: tuple[AuditRow, ...]

@@ -52,6 +52,13 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_ints(**fields: object) -> None:
+    """Raise ``TypeError`` naming the first field that is a bool or not an int."""
+    for name, value in fields.items():
+        if not _is_int(value):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _validated_terms(
     genus: int, terms: Mapping[SymMonomial, IntPoly]
 ) -> dict[SymMonomial, IntPoly]:
@@ -104,6 +111,7 @@ class MotiveClass:
     __slots__ = ("_genus", "_terms")
 
     def __init__(self, genus: int, terms: Mapping[SymMonomial, IntPoly]) -> None:
+        check_ints(genus=genus)
         if genus < 1:
             raise ValueError(f"genus must be >= 1, got {genus}")
         object.__setattr__(self, "_genus", genus)

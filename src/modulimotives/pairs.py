@@ -34,20 +34,13 @@ against it by the sweep suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .motive import (
-    MotiveClass,
-    UsageError,
-    check_effective,
-    from_tate_poly,
-    jacobian,
-    projective_space,
-    sym_curve,
-    sym_h1,
-    zero,
+    MotiveClass, UsageError, check_effective, check_ints, from_tate_poly, jacobian,
+    projective_space, sum_of_products, sym_curve, sym_h1, zero,
 )
 from .polyring import IntPoly, exact_div
 
@@ -68,24 +61,24 @@ class OutOfRange(UsageError):
     """The stability parameter lies outside ``(0, e/2]``."""
 
 
-@dataclass(frozen=True)
-class ChamberSpec:
-    """A chamber of the stability space for rank-2 pairs of degree e."""
+class ChamberSpec(namedtuple("ChamberSpec", "g e i")):
+    """A chamber of the stability space for rank-2 pairs of degree e: a
+    validated tuple, equal to the tuple of the same ints (harmless, as each
+    cache is keyed by one kind of spec)."""
 
-    g: int
-    e: int
-    i: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.g < 1:
-            raise InvalidChamber(f"genus must be >= 1, got {self.g}")
-        if self.e < 2:
-            raise InvalidChamber(f"pair degree must be >= 2, got {self.e}")
-        m = (self.e - 1) // 2
-        if not 0 <= self.i <= m:
-            raise InvalidChamber(
-                f"chamber index {self.i} outside [0, {m}] for degree {self.e}"
-            )
+    def __new__(cls, g: int, e: int, i: int) -> "ChamberSpec":
+        check_ints(g=g, e=e, i=i)
+        if g < 1:
+            raise InvalidChamber(f"genus must be >= 1, got {g}")
+        if e < 2:
+            raise InvalidChamber(f"pair degree must be >= 2, got {e}")
+        m = (e - 1) // 2
+        if not 0 <= i <= m:
+            raise InvalidChamber(f"chamber index {i} outside [0, {m}] for degree {e}")
+        return super().__new__(cls, g, e, i)
 
 
 def chambers(e: int) -> tuple[int, list[Fraction]]:
@@ -118,22 +111,23 @@ def pair_dimension(spec: ChamberSpec) -> int:
     return spec.e + 2 * spec.g - 2
 
 
-def _flip_block(g: int, e: int, j: int) -> IntPoly:
+def _flip_block(g: int, e: int, j: int) -> MotiveClass:
     # (L^(e+g-2j-1) - L^j) / (L - 1), expanded exactly; negative when
     # e+g-2j-1 < j, empty when equal.
     hi = e + g - 2 * j - 1
-    if hi >= j:
-        return IntPoly.geometric(j, hi - 1)
-    return -IntPoly.geometric(hi, j - 1)
+    block = IntPoly.geometric(j, hi - 1) if hi >= j else -IntPoly.geometric(hi, j - 1)
+    return MotiveClass._trusted(g, {(): block})
 
 
 @lru_cache(maxsize=None)
 def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
-    """Class of the pair moduli space via the wall-crossing recursion."""
-    g, e, i = spec.g, spec.e, spec.i
-    acc = zero(g)
-    for j in range(i + 1):
-        acc = acc + sym_curve(g, j) * _flip_block(g, e, j)
+    """Class of the pair moduli space via the wall-crossing recursion:
+    ``jacobian`` times the sum over walls ``j <= i`` of ``sym_curve(j)``
+    times the wall's block, the sum formed as one packed
+    :func:`~modulimotives.motive.sum_of_products`."""
+    g, e, i = spec
+    walls = [(sym_curve(g, j), _flip_block(g, e, j)) for j in range(i + 1)]
+    acc = sum_of_products(walls)
     return check_effective(jacobian(g) * acc, f"pair class for {spec}")
 
 

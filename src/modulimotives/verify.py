@@ -9,7 +9,6 @@ success).  The command-line ``verify`` subcommand is a thin wrapper around
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .bundles import BundleSpec, bundle_dimension_fixed_det, bundle_motive_fixed_det
@@ -27,11 +26,11 @@ from .pairs import (
 from .polyring import BiPoly, NonExactDivision
 
 
-@dataclass
 class SweepResult:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    """A sweep's name, its number of checks and its counterexamples."""
+
+    def __init__(self, name: str, checked: int = 0, failures: list[str] | None = None):
+        self.name, self.checked, self.failures = name, checked, failures or []
 
     @property
     def passed(self) -> bool:

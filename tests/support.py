@@ -12,6 +12,7 @@ from pathlib import Path
 
 from modulimotives import (
     BiPoly,
+    ChamberSpec,
     HiggsSpec,
     IntPoly,
     MotiveClass,
@@ -111,6 +112,19 @@ def sym_curve_reference(g: int, j: int) -> MotiveClass:
     for b in range(min(j, 2 * g) + 1):
         acc = acc + sym_h1(g, b) * IntPoly.geometric(0, j - b)
     return acc
+
+
+def pair_flip_reference(spec: ChamberSpec) -> MotiveClass:
+    """The wall-crossing pair class one wall at a time: ``sym_curve(j)`` times
+    the block ``(L^(e+g-2j-1) - L^j) / (L - 1)`` as an ``IntPoly`` (one class
+    by polynomial product and one class add per wall), then the Jacobian."""
+    g, e, i = spec.g, spec.e, spec.i
+    acc = zero(g)
+    for j in range(i + 1):
+        hi = e + g - 2 * j - 1
+        block = IntPoly.geometric(j, hi - 1) if hi >= j else -IntPoly.geometric(hi, j - 1)
+        acc = acc + sym_curve(g, j) * block
+    return jacobian(g) * acc
 
 
 def fixed_det_double_sum(g: int) -> MotiveClass:

@@ -64,6 +64,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BundleSpec(1, 1)
 
+    @pytest.mark.parametrize(
+        "fields,name", [((2.5, 1), "g"), ((2, 1.0), "d"), ((True, 1), "g"), ((2, None), "d")]
+    )
+    def test_rejects_values_that_are_not_ints(self, fields, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            BundleSpec(*fields)
+
 
 class TestGoldenDisplays:
     def test_genus_two_fixed_determinant(self):

@@ -42,6 +42,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             HiggsSpec(1, 1)
 
+    @pytest.mark.parametrize(
+        "fields,name", [((3, True), "d"), ((3.0, 1), "g"), ((3, 1.0), "d"), (("3", 1), "g")]
+    )
+    def test_rejects_values_that_are_not_ints(self, fields, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            HiggsSpec(*fields)
+
 
 class TestTripleLineComponents:
     def test_genus_two_degree_one_region(self):

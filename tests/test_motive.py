@@ -409,3 +409,8 @@ class TestSerialization:
     def test_constructor_rejects_non_int_indices(self, mono):
         with pytest.raises(TypeError, match="not an int"):
             MotiveClass(2, {mono: IntPoly.one()})
+
+    @pytest.mark.parametrize("genus", [2.0, True, "2", None])
+    def test_constructor_rejects_a_genus_that_is_not_an_int(self, genus):
+        with pytest.raises(TypeError, match="^genus must be an int"):
+            MotiveClass(genus, {})

@@ -23,7 +23,7 @@ from modulimotives import (
     sym_coeff_poly,
     sym_curve,
 )
-from support import conv, hodge_realization_reference
+from support import conv, hodge_realization_reference, pair_flip_reference
 
 
 class TestChambers:
@@ -93,6 +93,14 @@ class TestChamberSpec:
         assert pair_dimension(ChamberSpec(g=2, e=2, i=0)) == 4
         assert pair_dimension(ChamberSpec(g=2, e=3, i=1)) == 5
 
+    @pytest.mark.parametrize(
+        "fields,name",
+        [((2, 5.0, 1), "e"), ((2.0, 5, 1), "g"), ((2, 5, True), "i"), ((2, "5", 1), "e")],
+    )
+    def test_rejects_values_that_are_not_ints(self, fields, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            ChamberSpec(*fields)
+
 
 class TestFlipRoute:
     @pytest.mark.parametrize("g,e", [(2, 2), (2, 3), (3, 5), (4, 7)])
@@ -125,6 +133,14 @@ class TestFlipRoute:
         assert cls.is_effective()
         previous = pair_motive_flip(ChamberSpec(g=4, e=11, i=4))
         assert not (cls - previous).is_effective()
+
+    # every e <= 4g-5 for g <= 6, and e up to 40 at g = 3
+    @pytest.mark.parametrize("g,top", [(2, 3), (3, 7), (4, 11), (5, 15), (6, 19), (3, 40)])
+    def test_packed_sum_matches_the_wall_by_wall_reference(self, g, top):
+        for e in range(2, top + 1):
+            for i in range((e - 1) // 2 + 1):
+                spec = ChamberSpec(g=g, e=e, i=i)
+                assert pair_motive_flip(spec) == pair_flip_reference(spec)
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_realization_matches_the_term_by_term_reference(self, g):

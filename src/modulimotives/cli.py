@@ -44,7 +44,7 @@ FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 #   took 0.7 s at 20;
 # * pair degree: ``pairs`` took 2.4 s at genus 20, e = 300, and grows as about
 #   e^2.5, so about 5 s at 400;
-# * ``verify --suite all`` took 4.6 s at max-genus 10.
+# * ``verify --suite all`` took 1.9 s at max-genus 10.
 MAX_GENUS = 20
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 10

@@ -24,7 +24,7 @@ legitimate intermediate values in verification code.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterator, Mapping
 
 from .polyring import BiPoly, IntPoly
@@ -214,6 +214,7 @@ class MotiveClass:
 
     def tate_twist(self, k: int) -> "MotiveClass":
         """Multiply by ``L^k`` (k >= 0)."""
+        check_ints(k=k)
         if k < 0:
             raise ValueError(f"negative Tate twist {k}")
         return MotiveClass._trusted(
@@ -259,8 +260,30 @@ class MotiveClass:
         return BiPoly._trusted(out)
 
     def poincare_polynomial(self) -> IntPoly:
-        """Specialize the Hodge realization via ``h^(p,q) -> t^(p+q)``."""
-        return self.hodge_realization().diagonal_specialization()
+        """Poincaré polynomial: the Hodge realization specialized by
+        ``h^(p,q) -> t^(p+q)``, computed without it.
+
+        Ring homomorphism into ``Z[t]`` sending ``L`` to ``t^2`` and ``S_b``
+        to ``C(2g, b) * t^b`` (by Vandermonde, ``sum_p C(g,p) C(g,b-p)`` is
+        ``C(2g, b)``), so a term ``c(L) * mono`` goes to ``betti * c(t^2) *
+        t^deg`` with ``betti`` the product of ``C(2g, b)`` over the monomial
+        and ``deg`` its index sum.  The whole sum is one int, the polynomial
+        at ``2^w`` (Kronecker substitution; ``c(t^2)`` is ``c`` packed at
+        ``2^(2w)``).  An output coefficient sums at most one ``c_k * betti``
+        per term, so ``bound`` (the sum over terms of ``max|c_k| * betti``)
+        caps its absolute value; as ``2^(w-1) > bound``, it is exactly the
+        signed base-``2^w`` digit.
+        """
+        g, bound, terms = self._genus, 0, []
+        for mono, poly in self._terms.items():
+            betti = prod(comb(2 * g, b) for b in mono)
+            bound += max(map(abs, poly.coeffs)) * betti
+            terms.append((poly.coeffs, betti, sum(mono)))
+        w = bound.bit_length() + 1
+        packed = 0
+        for coeffs, betti, deg in terms:
+            packed += (betti * _pack(coeffs, 2 * w)) << (w * deg)
+        return IntPoly._trusted(_unpack(packed, w))
 
     def euler_characteristic(self) -> int:
         value = self.poincare_polynomial().evaluate(-1)
@@ -349,6 +372,7 @@ def unit(g: int) -> MotiveClass:
 
 def tate(g: int, k: int) -> MotiveClass:
     """The Tate class ``L^k``."""
+    check_ints(k=k)
     if k < 0:
         raise ValueError(f"negative Tate twist {k}")
     return MotiveClass(g, {(): IntPoly.monomial(k)})
@@ -365,6 +389,7 @@ def sym_h1(g: int, b: int) -> MotiveClass:
     ``S_0 = 1``; for ``b <= g`` the generator itself; for ``g < b <= 2g``
     the reduction ``S_(2g-b) * L^(b-g)``; zero for ``b > 2g``.
     """
+    check_ints(b=b)
     if b < 0:
         raise ValueError(f"negative symmetric-power index {b}")
     if b > 2 * g:
@@ -377,7 +402,7 @@ def sym_h1(g: int, b: int) -> MotiveClass:
     return MotiveClass(g, {mono: IntPoly.monomial(twist)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so sym_curve(g, True) misses and is checked
 def sym_curve(g: int, j: int) -> MotiveClass:
     """Class of the j-th symmetric power of the curve, in normal form.
 
@@ -386,6 +411,7 @@ def sym_curve(g: int, j: int) -> MotiveClass:
     reduced ``S_(2g-b) = S_b * L^(g-b)`` adds ``L^(g-b) + ... + L^(j-g)`` to
     the coefficient of ``S_b`` (``S_0 = 1``).
     """
+    check_ints(g=g, j=j)
     if j < 0:
         raise ValueError(f"negative symmetric power {j}")
     terms = {}
@@ -408,6 +434,7 @@ def jacobian(g: int) -> MotiveClass:
 
 def projective_space(g: int, n: int) -> MotiveClass:
     """Class of n-dimensional projective space, ``1 + L + ... + L^n``."""
+    check_ints(n=n)
     if n < 0:
         raise ValueError(f"negative projective-space dimension {n}")
     return from_tate_poly(g, IntPoly.geometric(0, n))

@@ -39,8 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .motive import (
-    MotiveClass, UsageError, check_effective, check_ints, from_tate_poly, jacobian,
-    projective_space, sum_of_products, sym_curve, sym_h1, zero,
+    MotiveClass, UsageError, check_effective, check_ints, jacobian, sum_of_products,
+    sym_curve, sym_h1, zero,
 )
 from .polyring import IntPoly, exact_div
 
@@ -223,25 +223,29 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
 
     (a term is empty when the projective-space dimension is -1); for
     ``3i >= e+g`` the rearranged four-part sum applies, whose Tate factor on
-    the Jacobian-squared term is :func:`sym_coeff_poly` at ``b = g``.
+    the Jacobian-squared term is :func:`sym_coeff_poly` at ``b = g``.  Either
+    sum is formed as one packed
+    :func:`~modulimotives.motive.sum_of_products`, each term a class times a
+    polynomial in ``L``, and then multiplied by ``jacobian``.
     """
     g, e, i = spec.g, spec.e, spec.i
     if not e <= 4 * g - 5:
         raise HypothesisViolation(f"need e <= 4g-5, got e={e}, g={g}")
+
+    def proj(k: int, n: int) -> IntPoly:  # projective_space(n) * L^k
+        return IntPoly.geometric(k, k + n)
+
     jac = jacobian(g)
     if 3 * i < e + g:
-        acc = zero(g)
-        for k in range(i + 1):
-            n = e + g - 3 * k - 2
-            if n < 0:
-                continue
-            acc = acc + sym_curve(g, k) * projective_space(g, n).tate_twist(k)
+        terms = [(sym_curve(g, k), proj(k, e + g - 3 * k - 2)) for k in range(i + 1)]
     else:
-        acc = sym_curve(g, g - 1) * projective_space(g, e - 2 * g + 1).tate_twist(g - 1)
-        for k in range(2 * g - 2 - i):
-            acc = acc + sym_curve(g, k) * projective_space(g, e + g - 3 * k - 2).tate_twist(k)
-        for k in range(2 * g - 2 - i, g - 1):
-            twists = IntPoly.monomial(3 * g - 3 - 2 * k) + IntPoly.monomial(k)
-            acc = acc + sym_curve(g, k) * projective_space(g, e - 2 * g + 1) * twists
-        acc = acc + jac * from_tate_poly(g, sym_coeff_poly(g, i, e, g))
+        n = e - 2 * g + 1
+        terms = [(sym_curve(g, g - 1), proj(g - 1, n))]
+        terms += [(sym_curve(g, k), proj(k, e + g - 3 * k - 2)) for k in range(2 * g - 2 - i)]
+        terms += [
+            (sym_curve(g, k), proj(3 * g - 3 - 2 * k, n) + proj(k, n))
+            for k in range(2 * g - 2 - i, g - 1)
+        ]
+        terms.append((jac, sym_coeff_poly(g, i, e, g)))
+    acc = sum_of_products([(cls, MotiveClass._trusted(g, {(): p})) for cls, p in terms])
     return check_effective(jac * acc, f"pair class for {spec}")

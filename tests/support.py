@@ -19,6 +19,8 @@ from modulimotives import (
     fixed_components,
     from_tate_poly,
     jacobian,
+    projective_space,
+    sym_coeff_poly,
     sym_curve,
     sym_h1,
     sym_h1_hodge_poly,
@@ -127,6 +129,30 @@ def pair_flip_reference(spec: ChamberSpec) -> MotiveClass:
     return jacobian(g) * acc
 
 
+def pair_geo_reference(spec: ChamberSpec) -> MotiveClass:
+    """The geometric pair class one term at a time (``e <= 4g-5``): one class
+    product and one class add per term of the sums in the
+    :func:`~modulimotives.pairs.pair_motive_geo` docstring, then the Jacobian."""
+    g, e, i = spec.g, spec.e, spec.i
+    jac = jacobian(g)
+    if 3 * i < e + g:
+        acc = zero(g)
+        for k in range(i + 1):
+            n = e + g - 3 * k - 2
+            if n < 0:
+                continue
+            acc = acc + sym_curve(g, k) * projective_space(g, n).tate_twist(k)
+    else:
+        acc = sym_curve(g, g - 1) * projective_space(g, e - 2 * g + 1).tate_twist(g - 1)
+        for k in range(2 * g - 2 - i):
+            acc = acc + sym_curve(g, k) * projective_space(g, e + g - 3 * k - 2).tate_twist(k)
+        for k in range(2 * g - 2 - i, g - 1):
+            twists = IntPoly.monomial(3 * g - 3 - 2 * k) + IntPoly.monomial(k)
+            acc = acc + sym_curve(g, k) * projective_space(g, e - 2 * g + 1) * twists
+        acc = acc + jac * from_tate_poly(g, sym_coeff_poly(g, i, e, g))
+    return jac * acc
+
+
 def fixed_det_double_sum(g: int) -> MotiveClass:
     """The fixed-determinant rank-3 bundle class as the unfactored double sum
     of the :mod:`modulimotives.bundles` docstring, one product per term."""
@@ -153,6 +179,12 @@ def hodge_realization_reference(cls: MotiveClass) -> BiPoly:
             factor = factor * sym_h1_hodge_poly(cls.genus, b)
         total = total + factor
     return total
+
+
+def poincare_reference(cls: MotiveClass) -> IntPoly:
+    """The Poincaré polynomial through the full Hodge realization, specialized
+    by ``h^(p,q) -> t^(p+q)``."""
+    return cls.hodge_realization().diagonal_specialization()
 
 
 def audit_reference(spec: HiggsSpec) -> AuditReport:

@@ -24,7 +24,13 @@ from modulimotives.bundles import bundle_dimension
 from modulimotives.cli import main
 from modulimotives.higgs import FixedComponent
 from golden_diamonds import GENUS2_HIGGS, GENUS3_HIGGS_MOD_JAC
-from support import audit_reference, hodge_realization_reference, tate_range, tate_sum
+from support import (
+    audit_reference,
+    hodge_realization_reference,
+    poincare_reference,
+    tate_range,
+    tate_sum,
+)
 
 
 class TestSpecValidation:
@@ -193,6 +199,11 @@ class TestAssembly:
     def test_top_degree_is_dimension(self, g):
         cls = higgs_motive(HiggsSpec(g, 1))
         assert cls.poincare_polynomial().degree == higgs_dimension(g)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_poincare_polynomial_matches_the_specialized_realization(self, g):
+        for cls in (higgs_motive(HiggsSpec(g, 1)), higgs_motive_mod_jac(HiggsSpec(g, 2))):
+            assert cls.poincare_polynomial() == poincare_reference(cls)
 
     def test_genus_two_total_betti_matches_golden(self):
         total = higgs_motive(HiggsSpec(2, 1)).poincare_polynomial().evaluate(1)

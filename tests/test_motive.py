@@ -22,7 +22,12 @@ from modulimotives import (
     zero,
 )
 from modulimotives.motive import sum_of_products
-from support import class_product_reference, hodge_realization_reference, sym_curve_reference
+from support import (
+    class_product_reference,
+    hodge_realization_reference,
+    poincare_reference,
+    sym_curve_reference,
+)
 
 
 def L(*coeffs: int) -> IntPoly:
@@ -120,6 +125,27 @@ class TestProjectiveSpace:
     def test_rejects_negative_dimension(self):
         with pytest.raises(ValueError):
             projective_space(2, -1)
+
+
+class TestIntArguments:
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda x: tate(2, x), "k"),
+            (lambda x: jacobian(2).tate_twist(x), "k"),
+            (lambda x: projective_space(2, x), "n"),
+            (lambda x: sym_h1(2, x), "b"),
+            (lambda x: sym_curve(2, x), "j"),
+            (lambda x: sym_curve(x, 1), "g"),
+        ],
+    )
+    def test_a_bool_or_non_int_argument_is_named(self, call, name, bad):
+        # sym_curve(2, 1) is cached first: sym_curve(2, True) and
+        # sym_curve(2, 1.0) hash equal to it and must still be checked
+        assert sym_curve(2, 1) == sym_curve_reference(2, 1)
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            call(bad)
 
 
 class TestRingOperations:
@@ -242,6 +268,46 @@ class TestPackedRealization:
     def test_genus_one(self, a, b):
         for cls in (a, a - b, a * b):
             assert cls.hodge_realization() == hodge_realization_reference(cls)
+
+
+class TestDirectPoincare:
+    """The Poincaré polynomial as its own ring map against the specialized
+    Hodge realization.  It is packed with ``w`` bits per digit, where
+    ``2^(w-1) - 1`` is the smallest such number >= the bound (the sum over
+    terms of max |c_k| times the monomial's Betti number)."""
+
+    @given(st.integers(1, 4).flatmap(
+        lambda g: st.tuples(_classes_strategy(g), _classes_strategy(g))
+    ))
+    def test_matches_the_specialized_realization(self, classes):
+        a, b = classes
+        for cls in (a, -a, a - b, a * b, zero(a.genus)):
+            assert cls.poincare_polynomial() == poincare_reference(cls)
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_zero_class(self, g):
+        assert zero(g).poincare_polynomial().is_zero()
+        assert (jacobian(g) - jacobian(g)).poincare_polynomial().is_zero()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    def test_digits_at_the_edge_of_the_width(self, n):
+        # both bounds are 2^n - 1, so w = n + 1; the digits alternate in sign
+        # so that each one borrows
+        big = 2**n - 1
+        coeffs = [big, -big] * 3 + [big]
+        tate_only = from_tate_poly(3, IntPoly(coeffs))
+        expected = [0] * (2 * len(coeffs) - 1)
+        expected[0::2] = coeffs
+        assert tate_only.poincare_polynomial() == IntPoly(expected)
+        half = 2 ** (n - 1) - 1  # Betti number 2 for S_1 at g = 1
+        mixed = MotiveClass(1, {(): L(1, -1, 1, -1), (1,): L(*[half, -half] * 3)})
+        for cls in (tate_only, mixed):
+            assert cls.poincare_polynomial() == poincare_reference(cls)
+
+    def test_builds_no_hodge_realization(self, monkeypatch):
+        expected = poincare_reference(jacobian(3) * sym_curve(3, 4))
+        monkeypatch.setattr(MotiveClass, "hodge_realization", None)
+        assert (jacobian(3) * sym_curve(3, 4)).poincare_polynomial() == expected
 
 
 class TestPackedProduct:

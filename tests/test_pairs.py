@@ -23,7 +23,13 @@ from modulimotives import (
     sym_coeff_poly,
     sym_curve,
 )
-from support import conv, hodge_realization_reference, pair_flip_reference
+from support import (
+    conv,
+    hodge_realization_reference,
+    pair_flip_reference,
+    pair_geo_reference,
+    poincare_reference,
+)
 
 
 class TestChambers:
@@ -236,6 +242,30 @@ class TestClosedFormRoutes:
         spec = ChamberSpec(g=4, e=11, i=5)
         assert 3 * spec.i >= spec.e + spec.g
         assert pair_motive_geo(spec) == pair_motive_flip(spec)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_geo_packed_sum_matches_the_term_by_term_reference(self, g):
+        # the Jacobian-squared tail term of the rearranged sum is nonzero
+        # from g = 6 on; dropping it fails here
+        branches = set()
+        for e in range(2, 4 * g - 4):
+            for i in range((e - 1) // 2 + 1):
+                spec = ChamberSpec(g=g, e=e, i=i)
+                branches.add(3 * i < e + g)
+                assert pair_motive_geo(spec) == pair_geo_reference(spec)
+        assert branches == ({True, False} if g >= 4 else {True})
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_poincare_polynomial_of_every_route(self, g):
+        for e in range(2, 4 * g - 4):
+            for i in range((e - 1) // 2 + 1):
+                spec = ChamberSpec(g=g, e=e, i=i)
+                routes = [pair_motive_flip, pair_motive_geo]
+                if i < e // 2 <= 2 * g - 3:
+                    routes.append(pair_motive_sym)
+                for route in routes:
+                    cls = route(spec)
+                    assert cls.poincare_polynomial() == poincare_reference(cls)
 
     def test_geo_hypothesis_violation(self):
         with pytest.raises(HypothesisViolation):

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
 from .motive import (
-    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, unit, zero
+    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, zero
 )
 from .pairs import ChamberSpec, chamber_of, pair_dimension, pair_motive_flip
 
@@ -182,29 +182,29 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
 
     Every fixed component carries exactly one Jacobian factor: the type-(3)
     component through the varying determinant, the others through their
-    Picard factor.  Q is the sum of the components' cofactors, each twisted.
-    The (1,1,1) components of one ``m1`` have every ``m2 = m1 + d (mod 3)``
-    up to a largest ``M``, so they sum to ``sym_curve(m1) * L^(8g-8-m1-top)``
+    Picard factor.  Q sums, over the :class:`FixedComponent` records that the
+    twist audit checks, each cofactor times ``L^twist``.  The (1,1,1)
+    components of one ``m1`` have every ``m2 = m1 + d (mod 3)`` up to a
+    largest ``M``, so they sum to ``sym_curve(m1) * L^(twist(m1,M) + M - top)``
     times ``R(M)``, the running sum of ``sym_curve(m2) * L^(top-m2)`` over
-    ``m2 <= M`` in the residue class of ``M``.  The type-(3) class (times the
-    unit), these (1,1,1) products and each (1,2)/(2,1) pair class (times
-    ``L^twist``) form one packed
-    :func:`~modulimotives.motive.sum_of_products`.
+    ``m2 <= M`` in the residue class of ``M``.  These products and the other
+    cofactors form one packed :func:`~modulimotives.motive.sum_of_products`.
     """
     g = spec.g
-    largest = {c.params[0]: c.params[1] for c in fixed_locus_111(spec)}  # M by m1
-    top = max(largest.values())
+    largest = {c.params[0]: c for c in fixed_locus_111(spec)}  # (m1, M) by m1
+    top = max(c.params[1] for c in largest.values())
     running, upto = [zero(g)] * 3, []
     for m2 in range(top + 1):
         running[m2 % 3] = running[m2 % 3] + sym_curve(g, m2).tate_twist(top - m2)
         upto.append(running[m2 % 3])
-    pairs = [(bundle_motive_fixed_det(spec), unit(g))]
-    pairs += [
-        (sym_curve(g, m1), upto[m2].tate_twist(8 * g - 8 - m1 - top))
-        for m1, m2 in largest.items()
+    pairs = [
+        (sym_curve(g, m1), upto[c.params[1]].tate_twist(c.twist + c.params[1] - top))
+        for m1, c in largest.items()
     ]
-    for comp in fixed_locus_12(spec) + fixed_locus_21(spec):
-        pairs.append((comp.cofactor, tate(g, comp.twist)))
+    pairs += [
+        (c.cofactor, tate(g, c.twist))
+        for c in fixed_locus_bundles(spec) + fixed_locus_12(spec) + fixed_locus_21(spec)
+    ]
     return sum_of_products(pairs)
 
 

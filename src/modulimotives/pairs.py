@@ -6,7 +6,9 @@ breaks into chambers separated by the walls ``sigma_i = e/2 - i`` for
 is constant in the chamber ``C_i = (sigma_(i+1), sigma_i)`` and is smooth of
 dimension ``e + 2g - 2``.
 
-Three independent routes compute its class:
+Three independent routes compute its class, each as a list of terms (a class
+times a polynomial in ``L``) fed to one builder, which sums them in one packed
+product, multiplies by ``jacobian`` and checks the result effective:
 
 * :func:`pair_motive_flip` -- the wall-crossing recursion.  Crossing the
   j-th wall changes the class by the class of the wall's center times a
@@ -40,7 +42,7 @@ from functools import lru_cache
 
 from .motive import (
     MotiveClass, UsageError, check_effective, check_ints, jacobian, sum_of_products,
-    sym_curve, sym_h1, zero,
+    sym_curve, sym_h1,
 )
 from .polyring import IntPoly, exact_div
 
@@ -83,6 +85,7 @@ class ChamberSpec(namedtuple("ChamberSpec", "g e i")):
 
 def chambers(e: int) -> tuple[int, list[Fraction]]:
     """Return ``(m, walls)``: the walls are ``e/2 - i`` for ``i = 0 .. m``."""
+    check_ints(e=e)
     if e < 2:
         raise InvalidChamber(f"pair degree must be >= 2, got {e}")
     m = (e - 1) // 2
@@ -95,6 +98,9 @@ def chamber_of(sigma: Fraction | int, e: int) -> int:
     Raises :class:`OnWall` when sigma is a wall and :class:`OutOfRange` when
     sigma is outside ``(0, e/2]``.
     """
+    check_ints(e=e)
+    if not isinstance(sigma, (int, Fraction)) or isinstance(sigma, bool):
+        raise TypeError(f"sigma must be an int or a Fraction, got {sigma!r}")
     if e < 2:
         raise InvalidChamber(f"pair degree must be >= 2, got {e}")
     sigma = Fraction(sigma)
@@ -111,24 +117,27 @@ def pair_dimension(spec: ChamberSpec) -> int:
     return spec.e + 2 * spec.g - 2
 
 
-def _flip_block(g: int, e: int, j: int) -> MotiveClass:
+def _pair_class(spec: ChamberSpec, terms: list[tuple[MotiveClass, IntPoly]]) -> MotiveClass:
+    """``jacobian`` times one packed :func:`~modulimotives.motive.sum_of_products`
+    of the terms, each a class times a polynomial in ``L``; checked effective."""
+    acc = sum_of_products([(cls, MotiveClass._trusted(spec.g, {(): p})) for cls, p in terms])
+    return check_effective(jacobian(spec.g) * acc, f"pair class for {spec}")
+
+
+def _flip_block(g: int, e: int, j: int) -> IntPoly:
     # (L^(e+g-2j-1) - L^j) / (L - 1), expanded exactly; negative when
     # e+g-2j-1 < j, empty when equal.
     hi = e + g - 2 * j - 1
-    block = IntPoly.geometric(j, hi - 1) if hi >= j else -IntPoly.geometric(hi, j - 1)
-    return MotiveClass._trusted(g, {(): block})
+    return IntPoly.geometric(j, hi - 1) if hi >= j else -IntPoly.geometric(hi, j - 1)
 
 
 @lru_cache(maxsize=None)
 def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space via the wall-crossing recursion:
     ``jacobian`` times the sum over walls ``j <= i`` of ``sym_curve(j)``
-    times the wall's block, the sum formed as one packed
-    :func:`~modulimotives.motive.sum_of_products`."""
+    times the wall's block."""
     g, e, i = spec
-    walls = [(sym_curve(g, j), _flip_block(g, e, j)) for j in range(i + 1)]
-    acc = sum_of_products(walls)
-    return check_effective(jacobian(g) * acc, f"pair class for {spec}")
+    return _pair_class(spec, [(sym_curve(g, j), _flip_block(g, e, j)) for j in range(i + 1)])
 
 
 # (1 - T)^2 (1 - T^2), the common denominator of the coefficient polynomials
@@ -145,6 +154,7 @@ def sym_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
     ``g >= 2``; the quotient has non-negative coefficients exactly when
     ``b <= e+g-1-2i``.
     """
+    check_ints(g=g, i=i, e=e, b=b)
     if g < 2:
         raise HypothesisViolation(f"genus must be >= 2, got {g}")
     if not 0 <= b <= i:
@@ -167,6 +177,7 @@ def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
     Requires ``e+g-1-2i < b <= i < floor(e/2) <= 2g-3`` (which forces
     ``b > g``); the result is checked to have non-negative coefficients.
     """
+    check_ints(g=g, i=i, e=e, b=b)
     if not (e + g - 1 - 2 * i < b <= i < e // 2 <= 2 * g - 3):
         raise HypothesisViolation(
             f"need e+g-1-2i < b <= i < floor(e/2) <= 2g-3, "
@@ -186,29 +197,26 @@ def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
 def pair_motive_sym(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space as a sum of ``S_b`` terms.
 
-    Requires ``i < floor(e/2) <= 2g-3``.  When ``3i <= e+g-1`` every
-    coefficient polynomial is non-negative and the plain sum over
-    ``b = 0 .. i`` applies; otherwise the terms with negative coefficient
-    polynomials (``b`` in ``[g+e-2i, i]``) are folded into the terms with
-    ``b`` in ``[2g-i, g-e+2i]`` via :func:`folded_coeff_poly`.
+    Requires ``i < floor(e/2) <= 2g-3``.  The terms with negative
+    coefficient polynomials (``b`` in ``[g+e-2i, i]``) are folded into the
+    terms with ``b`` in ``[2g-i, g-e+2i]`` via :func:`folded_coeff_poly`; the
+    other ``b <= i`` keep :func:`sym_coeff_poly`.  When ``3i <= e+g-1`` both
+    ranges are empty, every coefficient polynomial is non-negative and this
+    is the plain sum over ``b = 0 .. i``.
     """
     g, e, i = spec.g, spec.e, spec.i
     if not i < e // 2:
         raise HypothesisViolation(f"need i < floor(e/2), got i={i}, e={e}")
     if not e // 2 <= 2 * g - 3:
         raise HypothesisViolation(f"need floor(e/2) <= 2g-3, got e={e}, g={g}")
-    acc = zero(g)
-    if 3 * i <= e + g - 1:
-        for b in range(i + 1):
-            acc = acc + sym_h1(g, b) * sym_coeff_poly(g, i, e, b)
-    else:
-        for b in range(i + 1):
-            if 2 * g - i <= b <= g - e + 2 * i:
-                acc = acc + sym_h1(g, b) * folded_coeff_poly(g, i, e, 2 * g - b)
-            elif b < 2 * g - i or abs(b - g) < e - 2 * i:
-                acc = acc + sym_h1(g, b) * sym_coeff_poly(g, i, e, b)
-            # remaining b in [g+e-2i, i]: absorbed into the folded terms
-    return check_effective(jacobian(g) * acc, f"pair class for {spec}")
+    terms = []
+    for b in range(i + 1):
+        if 2 * g - i <= b <= g - e + 2 * i:
+            terms.append((sym_h1(g, b), folded_coeff_poly(g, i, e, 2 * g - b)))
+        elif b < 2 * g - i or abs(b - g) < e - 2 * i:
+            terms.append((sym_h1(g, b), sym_coeff_poly(g, i, e, b)))
+        # remaining b in [g+e-2i, i]: absorbed into the folded terms
+    return _pair_class(spec, terms)
 
 
 def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
@@ -223,10 +231,7 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
 
     (a term is empty when the projective-space dimension is -1); for
     ``3i >= e+g`` the rearranged four-part sum applies, whose Tate factor on
-    the Jacobian-squared term is :func:`sym_coeff_poly` at ``b = g``.  Either
-    sum is formed as one packed
-    :func:`~modulimotives.motive.sum_of_products`, each term a class times a
-    polynomial in ``L``, and then multiplied by ``jacobian``.
+    the Jacobian-squared term is :func:`sym_coeff_poly` at ``b = g``.
     """
     g, e, i = spec.g, spec.e, spec.i
     if not e <= 4 * g - 5:
@@ -235,7 +240,6 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
     def proj(k: int, n: int) -> IntPoly:  # projective_space(n) * L^k
         return IntPoly.geometric(k, k + n)
 
-    jac = jacobian(g)
     if 3 * i < e + g:
         terms = [(sym_curve(g, k), proj(k, e + g - 3 * k - 2)) for k in range(i + 1)]
     else:
@@ -246,6 +250,5 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
             (sym_curve(g, k), proj(3 * g - 3 - 2 * k, n) + proj(k, n))
             for k in range(2 * g - 2 - i, g - 1)
         ]
-        terms.append((jac, sym_coeff_poly(g, i, e, g)))
-    acc = sum_of_products([(cls, MotiveClass._trusted(g, {(): p})) for cls, p in terms])
-    return check_effective(jac * acc, f"pair class for {spec}")
+        terms.append((jacobian(g), sym_coeff_poly(g, i, e, g)))
+    return _pair_class(spec, terms)

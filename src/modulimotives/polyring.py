@@ -126,8 +126,6 @@ class IntPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self == IntPoly((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -208,9 +206,6 @@ class IntPoly:
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
-
-    def exact_div(self, den: "IntPoly") -> "IntPoly":
-        return exact_div(self, den)
 
     # -- rendering ---------------------------------------------------------
 

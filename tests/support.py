@@ -17,6 +17,7 @@ from modulimotives import (
     IntPoly,
     MotiveClass,
     fixed_components,
+    folded_coeff_poly,
     from_tate_poly,
     jacobian,
     projective_space,
@@ -151,6 +152,25 @@ def pair_geo_reference(spec: ChamberSpec) -> MotiveClass:
             acc = acc + sym_curve(g, k) * projective_space(g, e - 2 * g + 1) * twists
         acc = acc + jac * from_tate_poly(g, sym_coeff_poly(g, i, e, g))
     return jac * acc
+
+
+def pair_sym_reference(spec: ChamberSpec) -> MotiveClass:
+    """The ``S_b`` pair class one term at a time (``i < floor(e/2) <= 2g-3``):
+    the plain sum over ``b = 0 .. i`` when ``3i <= e+g-1``, else the folded
+    sum of the :func:`~modulimotives.pairs.pair_motive_sym` docstring, one
+    class-by-polynomial product and one class add per term, then the Jacobian."""
+    g, e, i = spec.g, spec.e, spec.i
+    acc = zero(g)
+    if 3 * i <= e + g - 1:
+        for b in range(i + 1):
+            acc = acc + sym_h1(g, b) * sym_coeff_poly(g, i, e, b)
+    else:
+        for b in range(i + 1):
+            if 2 * g - i <= b <= g - e + 2 * i:
+                acc = acc + sym_h1(g, b) * folded_coeff_poly(g, i, e, 2 * g - b)
+            elif b < 2 * g - i or abs(b - g) < e - 2 * i:
+                acc = acc + sym_h1(g, b) * sym_coeff_poly(g, i, e, b)
+    return jacobian(g) * acc
 
 
 def fixed_det_double_sum(g: int) -> MotiveClass:

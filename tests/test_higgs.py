@@ -236,6 +236,25 @@ class TestModJacobian:
             cls = build(HiggsSpec(g, 1))
             assert cls.hodge_realization() == hodge_realization_reference(cls)
 
+    @pytest.mark.parametrize("locus", ["fixed_locus_bundles", "fixed_locus_111"])
+    def test_q_is_summed_from_the_audited_records(self, monkeypatch, locus):
+        # a twist changed in the records changes Q, so the audit checks what Q sums
+        records = getattr(higgs_module, locus)
+        monkeypatch.setattr(
+            higgs_module,
+            locus,
+            lambda spec: [c._replace(twist=c.twist + 1) for c in records(spec)],
+        )
+        higgs_motive_mod_jac.cache_clear()
+        try:
+            for spec in (HiggsSpec(2, 1), HiggsSpec(3, 2), HiggsSpec(4, -1)):
+                expected = zero(spec.g)
+                for comp in fixed_components(spec):
+                    expected = expected + comp.cofactor.tate_twist(comp.twist)
+                assert higgs_motive_mod_jac(spec) == expected
+        finally:
+            higgs_motive_mod_jac.cache_clear()
+
     def test_unit_coefficient_starts_at_one(self):
         cls = higgs_motive_mod_jac(HiggsSpec(2, 1))
         assert cls.coefficient(())[0] == 1

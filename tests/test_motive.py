@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -11,9 +12,13 @@ from modulimotives import (
     GenusMismatch,
     IntPoly,
     MotiveClass,
+    chamber_of,
+    chambers,
+    folded_coeff_poly,
     from_tate_poly,
     jacobian,
     projective_space,
+    sym_coeff_poly,
     sym_curve,
     sym_h1,
     sym_h1_hodge_poly,
@@ -138,6 +143,18 @@ class TestIntArguments:
             (lambda x: sym_h1(2, x), "b"),
             (lambda x: sym_curve(2, x), "j"),
             (lambda x: sym_curve(x, 1), "g"),
+            pytest.param(lambda x: chambers(x), "e", id="chambers-e"),
+            pytest.param(lambda x: chamber_of(Fraction(1, 3), x), "e", id="chamber_of-e"),
+            # sigma must be an int or a Fraction
+            pytest.param(lambda x: chamber_of(x, 5), "sigma", id="chamber_of-sigma"),
+            pytest.param(lambda x: sym_coeff_poly(x, 1, 5, 0), "g", id="sym_coeff-g"),
+            pytest.param(lambda x: sym_coeff_poly(3, x, 5, 0), "i", id="sym_coeff-i"),
+            pytest.param(lambda x: sym_coeff_poly(3, 1, x, 0), "e", id="sym_coeff-e"),
+            pytest.param(lambda x: sym_coeff_poly(3, 1, 5, x), "b", id="sym_coeff-b"),
+            pytest.param(lambda x: folded_coeff_poly(x, 8, 18, 8), "g", id="folded-g"),
+            pytest.param(lambda x: folded_coeff_poly(6, x, 18, 8), "i", id="folded-i"),
+            pytest.param(lambda x: folded_coeff_poly(6, 8, x, 8), "e", id="folded-e"),
+            pytest.param(lambda x: folded_coeff_poly(6, 8, 18, x), "b", id="folded-b"),
         ],
     )
     def test_a_bool_or_non_int_argument_is_named(self, call, name, bad):

@@ -28,6 +28,7 @@ from support import (
     hodge_realization_reference,
     pair_flip_reference,
     pair_geo_reference,
+    pair_sym_reference,
     poincare_reference,
 )
 
@@ -222,6 +223,17 @@ class TestClosedFormRoutes:
         spec = ChamberSpec(g=6, e=18, i=8)
         assert 3 * spec.i > spec.e + spec.g - 1
         assert pair_motive_sym(spec) == pair_motive_flip(spec)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_sym_one_loop_matches_the_two_branch_reference(self, g):
+        # folded terms occur from g = 6 on, plain ones in every genus
+        branches = set()
+        for e in range(2, 4 * g - 4):
+            for i in range(e // 2):
+                spec = ChamberSpec(g=g, e=e, i=i)
+                branches.add(3 * i <= e + g - 1)
+                assert pair_motive_sym(spec) == pair_sym_reference(spec)
+        assert branches == ({True, False} if g >= 6 else {True})
 
     def test_sym_hypothesis_violations(self):
         with pytest.raises(HypothesisViolation):

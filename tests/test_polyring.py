@@ -35,6 +35,8 @@ class TestArithmetic:
         assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPoly([0, 0]).is_zero()
         assert P(1, -1) + P(-1, 1) == IntPoly.zero()
+        # an int is not an IntPoly, so equality agrees with hashing
+        assert IntPoly([3, 0]) != 3 and IntPoly([3, 0]) not in {3}
 
     def test_geometric_block(self):
         assert IntPoly.geometric(0, 3) == P(1, 1, 1, 1)

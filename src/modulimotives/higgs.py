@@ -27,13 +27,14 @@ formula is re-derived from the exact rational stability parameter through
 :class:`ChamberMismatch` (no silent formula drift).
 
 Pair classes always enter through the wall-crossing route
-(:func:`modulimotives.pairs.pair_motive_flip`), which has no numerical
+(:func:`modulimotives.pairs.pair_cofactor_flip`), which has no numerical
 hypothesis; the closed forms are verification-only.
 
 Every component carries exactly one Jacobian factor, so the class is
 ``jacobian * Q``; :func:`higgs_motive_mod_jac`, the one assembly, builds Q in
 factored form.  A :class:`FixedComponent` holds no class, only the factors of
-its cofactor, which the twist audit realizes one by one.
+its cofactor, which the twist audit realizes one by one; for (1,2) and (2,1)
+they are ``jacobian`` and the pair cofactor, as a pair class is their product.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
 from .motive import (
     MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, zero
 )
-from .pairs import ChamberSpec, chamber_of, pair_dimension, pair_motive_flip
+from .pairs import ChamberSpec, chamber_of, pair_cofactor_flip, pair_dimension
 
 
 class ChamberMismatch(RuntimeError):
@@ -80,13 +81,14 @@ class FixedComponent(NamedTuple):
     @property
     def factors(self) -> tuple[MotiveClass, ...]:
         """The fixed-determinant bundle class for (3), ``sym_curve(m1)`` and
-        ``sym_curve(m2)`` for (1,1,1), the pair class for (1,2) and (2,1)."""
+        ``sym_curve(m2)`` for (1,1,1), and for (1,2) and (2,1) ``jacobian`` and
+        the pair cofactor, whose product is the pair class."""
         if self.kind == "(3)":
             return (bundle_motive_fixed_det(self.spec),)
         if self.kind == "(1,1,1)":
             m1, m2 = self.params
             return (sym_curve(self.spec.g, m1), sym_curve(self.spec.g, m2))
-        return (pair_motive_flip(self.chamber),)
+        return (jacobian(self.spec.g), pair_cofactor_flip(self.chamber))
 
     @property
     def cofactor(self) -> MotiveClass:
@@ -187,23 +189,24 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
     components of one ``m1`` have every ``m2 = m1 + d (mod 3)`` up to a
     largest ``M``, so they sum to ``sym_curve(m1) * L^(twist(m1,M) + M - top)``
     times ``R(M)``, the running sum of ``sym_curve(m2) * L^(top-m2)`` over
-    ``m2 <= M`` in the residue class of ``M``.  These products and the other
-    cofactors form one packed :func:`~modulimotives.motive.sum_of_products`.
+    ``m2 <= M`` in the residue class of ``M``.  The (1,2) and (2,1) records
+    enter as ``jacobian`` times the sum of their pair cofactors times
+    ``L^twist``.  These products and the bundle cofactor form one packed
+    :func:`~modulimotives.motive.sum_of_products`.
     """
     g = spec.g
+    paired = fixed_locus_12(spec) + fixed_locus_21(spec)  # factors (jacobian, pair cofactor)
+    pairs = [(jacobian(g), sum_of_products([(c.factors[1], tate(g, c.twist)) for c in paired]))]
+    pairs += [(c.cofactor, tate(g, c.twist)) for c in fixed_locus_bundles(spec)]
     largest = {c.params[0]: c for c in fixed_locus_111(spec)}  # (m1, M) by m1
     top = max(c.params[1] for c in largest.values())
     running, upto = [zero(g)] * 3, []
     for m2 in range(top + 1):
         running[m2 % 3] = running[m2 % 3] + sym_curve(g, m2).tate_twist(top - m2)
         upto.append(running[m2 % 3])
-    pairs = [
+    pairs += [
         (sym_curve(g, m1), upto[c.params[1]].tate_twist(c.twist + c.params[1] - top))
         for m1, c in largest.items()
-    ]
-    pairs += [
-        (c.cofactor, tate(g, c.twist))
-        for c in fixed_locus_bundles(spec) + fixed_locus_12(spec) + fixed_locus_21(spec)
     ]
     return sum_of_products(pairs)
 

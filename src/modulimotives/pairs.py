@@ -6,9 +6,10 @@ breaks into chambers separated by the walls ``sigma_i = e/2 - i`` for
 is constant in the chamber ``C_i = (sigma_(i+1), sigma_i)`` and is smooth of
 dimension ``e + 2g - 2``.
 
-Three independent routes compute its class, each as a list of terms (a class
-times a polynomial in ``L``) fed to one builder, which sums them in one packed
-product, multiplies by ``jacobian`` and checks the result effective:
+Every pair class is ``jacobian`` times a cofactor.  Three independent routes
+compute the cofactor ``pair_cofactor_*`` as a list of terms (a class times a
+polynomial in ``L``) fed to one builder, which sums them in one packed product
+and checks the result effective; ``pair_motive_*`` multiplies it by ``jacobian``:
 
 * :func:`pair_motive_flip` -- the wall-crossing recursion.  Crossing the
   j-th wall changes the class by the class of the wall's center times a
@@ -30,8 +31,8 @@ product, multiplies by ``jacobian`` and checks the result effective:
   the curve, its Jacobian and projective spaces only.
 
 The flip route is the trusted oracle (it is derived directly from the flip
-description with no rearrangement); the two closed forms are verified
-against it by the sweep suites.
+description with no rearrangement); the sweep suites verify the two closed
+forms against it, cofactor against cofactor.
 """
 
 from __future__ import annotations
@@ -75,20 +76,22 @@ class ChamberSpec(namedtuple("ChamberSpec", "g e i")):
         check_ints(g=g, e=e, i=i)
         if g < 1:
             raise InvalidChamber(f"genus must be >= 1, got {g}")
-        if e < 2:
-            raise InvalidChamber(f"pair degree must be >= 2, got {e}")
-        m = (e - 1) // 2
+        m = _last_chamber(e)
         if not 0 <= i <= m:
             raise InvalidChamber(f"chamber index {i} outside [0, {m}] for degree {e}")
         return super().__new__(cls, g, e, i)
 
 
+def _last_chamber(e: int) -> int:  # m = floor((e-1)/2), for e >= 2
+    if e < 2:
+        raise InvalidChamber(f"pair degree must be >= 2, got {e}")
+    return (e - 1) // 2
+
+
 def chambers(e: int) -> tuple[int, list[Fraction]]:
     """Return ``(m, walls)``: the walls are ``e/2 - i`` for ``i = 0 .. m``."""
     check_ints(e=e)
-    if e < 2:
-        raise InvalidChamber(f"pair degree must be >= 2, got {e}")
-    m = (e - 1) // 2
+    m = _last_chamber(e)
     return m, [Fraction(e, 2) - i for i in range(m + 1)]
 
 
@@ -101,8 +104,7 @@ def chamber_of(sigma: Fraction | int, e: int) -> int:
     check_ints(e=e)
     if not isinstance(sigma, (int, Fraction)) or isinstance(sigma, bool):
         raise TypeError(f"sigma must be an int or a Fraction, got {sigma!r}")
-    if e < 2:
-        raise InvalidChamber(f"pair degree must be >= 2, got {e}")
+    _last_chamber(e)
     sigma = Fraction(sigma)
     if sigma <= 0 or sigma > Fraction(e, 2):
         raise OutOfRange(f"stability parameter {sigma} outside (0, {e}/2]")
@@ -117,11 +119,14 @@ def pair_dimension(spec: ChamberSpec) -> int:
     return spec.e + 2 * spec.g - 2
 
 
-def _pair_class(spec: ChamberSpec, terms: list[tuple[MotiveClass, IntPoly]]) -> MotiveClass:
-    """``jacobian`` times one packed :func:`~modulimotives.motive.sum_of_products`
-    of the terms, each a class times a polynomial in ``L``; checked effective."""
+def _pair_cofactor(spec: ChamberSpec, terms: list[tuple[MotiveClass, IntPoly]]) -> MotiveClass:
+    """One packed sum of the terms, each a class times a polynomial in ``L``; checked effective."""
     acc = sum_of_products([(cls, MotiveClass._trusted(spec.g, {(): p})) for cls, p in terms])
-    return check_effective(jacobian(spec.g) * acc, f"pair class for {spec}")
+    return check_effective(acc, f"pair class for {spec}")
+
+
+def _pair_class(spec: ChamberSpec, cofactor: MotiveClass) -> MotiveClass:
+    return check_effective(jacobian(spec.g) * cofactor, f"pair class for {spec}")
 
 
 def _flip_block(g: int, e: int, j: int) -> IntPoly:
@@ -132,12 +137,16 @@ def _flip_block(g: int, e: int, j: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
-    """Class of the pair moduli space via the wall-crossing recursion:
-    ``jacobian`` times the sum over walls ``j <= i`` of ``sym_curve(j)``
-    times the wall's block."""
+def pair_cofactor_flip(spec: ChamberSpec) -> MotiveClass:
+    """The wall-crossing cofactor: over walls ``j <= i``, ``sym_curve(j)`` times its block."""
     g, e, i = spec
-    return _pair_class(spec, [(sym_curve(g, j), _flip_block(g, e, j)) for j in range(i + 1)])
+    return _pair_cofactor(spec, [(sym_curve(g, j), _flip_block(g, e, j)) for j in range(i + 1)])
+
+
+@lru_cache(maxsize=None)
+def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
+    """Class of the pair moduli space by wall-crossing: ``jacobian * pair_cofactor_flip``."""
+    return _pair_class(spec, pair_cofactor_flip(spec))
 
 
 # (1 - T)^2 (1 - T^2), the common denominator of the coefficient polynomials
@@ -195,7 +204,12 @@ def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
 
 
 def pair_motive_sym(spec: ChamberSpec) -> MotiveClass:
-    """Class of the pair moduli space as a sum of ``S_b`` terms.
+    """Class of the pair moduli space, ``jacobian * pair_cofactor_sym``."""
+    return _pair_class(spec, pair_cofactor_sym(spec))
+
+
+def pair_cofactor_sym(spec: ChamberSpec) -> MotiveClass:
+    """The pair cofactor as a sum of ``S_b`` terms.
 
     Requires ``i < floor(e/2) <= 2g-3``.  The terms with negative
     coefficient polynomials (``b`` in ``[g+e-2i, i]``) are folded into the
@@ -216,18 +230,23 @@ def pair_motive_sym(spec: ChamberSpec) -> MotiveClass:
         elif b < 2 * g - i or abs(b - g) < e - 2 * i:
             terms.append((sym_h1(g, b), sym_coeff_poly(g, i, e, b)))
         # remaining b in [g+e-2i, i]: absorbed into the folded terms
-    return _pair_class(spec, terms)
+    return _pair_cofactor(spec, terms)
 
 
 def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
-    """Class of the pair moduli space in terms of symmetric powers of the
-    curve, the Jacobian and projective spaces.
+    """Class of the pair moduli space, ``jacobian * pair_cofactor_geo``."""
+    return _pair_class(spec, pair_cofactor_geo(spec))
+
+
+def pair_cofactor_geo(spec: ChamberSpec) -> MotiveClass:
+    """The pair cofactor in terms of symmetric powers of the curve, the
+    Jacobian and projective spaces.
 
     Requires ``e <= 4g-5`` (``2i < e`` holds in every chamber).  For
-    ``3i < e+g`` the class is
+    ``3i < e+g`` the cofactor is
 
         sum over k = 0..i of
-            jacobian * sym_curve(k) * projective_space(e+g-3k-2) * L^k
+            sym_curve(k) * projective_space(e+g-3k-2) * L^k
 
     (a term is empty when the projective-space dimension is -1); for
     ``3i >= e+g`` the rearranged four-part sum applies, whose Tate factor on
@@ -251,4 +270,4 @@ def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
             for k in range(2 * g - 2 - i, g - 1)
         ]
         terms.append((jacobian(g), sym_coeff_poly(g, i, e, g)))
-    return _pair_class(spec, terms)
+    return _pair_cofactor(spec, terms)

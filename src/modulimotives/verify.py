@@ -17,10 +17,10 @@ from .motive import UsageError, jacobian, projective_space, sym_curve
 from .pairs import (
     ChamberSpec,
     folded_coeff_poly,
+    pair_cofactor_flip,
+    pair_cofactor_geo,
+    pair_cofactor_sym,
     pair_dimension,
-    pair_motive_flip,
-    pair_motive_geo,
-    pair_motive_sym,
     sym_coeff_poly,
 )
 from .polyring import BiPoly, NonExactDivision
@@ -61,26 +61,27 @@ def sweep_route_agreement(max_genus: int) -> SweepResult:
     """The three pair-moduli routes agree wherever their hypotheses hold.
 
     For every chamber-valid ``(e, i)`` with ``e <= 4g-5``: the wall-crossing
-    class is effective and has the expected top degree; the symmetric-power
-    basis form (when ``i < floor(e/2) <= 2g-3``) and the geometric form
-    (always applicable in this range) reproduce it exactly.
+    cofactor is effective and the class has top degree ``deg P(cofactor) + 2g``
+    twice its dimension; the symmetric-power basis form (when ``i < floor(e/2)
+    <= 2g-3``) and the geometric form (always applicable in this range)
+    reproduce the cofactor exactly, hence the class, in an integral domain.
     """
     result = SweepResult("route-agreement")
     for g in range(2, max_genus + 1):
         for spec in _chamber_specs(g):
-            flip = pair_motive_flip(spec)
-            top = flip.poincare_polynomial().degree
+            flip = pair_cofactor_flip(spec)
+            top = flip.poincare_polynomial().degree + 2 * g
             result.check(
                 top == 2 * pair_dimension(spec),
                 f"{spec}: top degree {top} != twice the dimension",
             )
             if spec.i < spec.e // 2 <= 2 * g - 3:
                 result.check(
-                    pair_motive_sym(spec) == flip,
+                    pair_cofactor_sym(spec) == flip,
                     f"{spec}: symmetric-power basis form disagrees with wall-crossing",
                 )
             result.check(
-                pair_motive_geo(spec) == flip,
+                pair_cofactor_geo(spec) == flip,
                 f"{spec}: geometric form disagrees with wall-crossing",
             )
     return result

@@ -20,6 +20,7 @@ from modulimotives import (
     folded_coeff_poly,
     from_tate_poly,
     jacobian,
+    pair_motive_flip,
     projective_space,
     sym_coeff_poly,
     sym_curve,
@@ -27,7 +28,7 @@ from modulimotives import (
     sym_h1_hodge_poly,
     zero,
 )
-from modulimotives.bundles import bundle_dimension
+from modulimotives.bundles import bundle_dimension, bundle_motive_fixed_det
 from modulimotives.higgs import AuditReport, AuditRow
 
 
@@ -224,3 +225,22 @@ def audit_reference(spec: HiggsSpec) -> AuditReport:
             AuditRow(comp.kind, comp.params, comp.dimension, comp.twist, top // 2, ok)
         )
     return AuditReport(spec.g, spec.d, tuple(rows))
+
+
+def higgs_mod_jac_reference(spec: HiggsSpec) -> MotiveClass:
+    """The cofactor Q of the Higgs class one fixed component at a time: the
+    component's class without its Picard Jacobian, times ``L^twist``, added
+    with ``MotiveClass.__add__``.  A pair component contributes the full class
+    ``pair_motive_flip(chamber)``; the record's ``factors`` are not used."""
+    g = spec.g
+    acc = zero(g)
+    for comp in fixed_components(spec):
+        if comp.kind == "(3)":
+            cls = bundle_motive_fixed_det(spec)
+        elif comp.kind == "(1,1,1)":
+            m1, m2 = comp.params
+            cls = sym_curve(g, m1) * sym_curve(g, m2)
+        else:
+            cls = pair_motive_flip(comp.chamber)
+        acc = acc + cls.tate_twist(comp.twist)
+    return acc

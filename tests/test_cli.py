@@ -229,8 +229,10 @@ class TestInternalErrors:
     def fresh_caches(self):
         higgs_module.higgs_motive_mod_jac.cache_clear()
         pairs_module.pair_motive_flip.cache_clear()
+        pairs_module.pair_cofactor_flip.cache_clear()
         yield
         pairs_module.pair_motive_flip.cache_clear()
+        pairs_module.pair_cofactor_flip.cache_clear()
 
     def test_chamber_mismatch_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(higgs_module, "chamber_of", lambda sigma, e: -99)
@@ -249,8 +251,8 @@ class TestInternalErrors:
         assert "negative coefficient" in err
 
     def test_internal_value_error_exits_three(self, capsys, monkeypatch):
-        # a Jacobian of the wrong genus makes jacobian * Q raise GenusMismatch,
-        # a ValueError that is not a usage error
+        # a Jacobian of the wrong genus makes the first product with it (the
+        # pair part of Q) raise GenusMismatch, a ValueError that is not a usage error
         def wrong_genus(g):
             return motive_module.jacobian(g + 1)
 
@@ -344,8 +346,8 @@ class TestInputCeilings:
                 "pair degree e must be <= 400, got 401",
             ),
             (
-                ("verify", "--suite", "all", "--max-genus", "11"),
-                "max genus must be <= 10, got 11",
+                ("verify", "--suite", "all", "--max-genus", "13"),
+                "max genus must be <= 12, got 13",
             ),
         ],
     )
@@ -361,7 +363,7 @@ class TestInputCeilings:
             ("bundles", "curve genus, at most 20"),
             ("pairs", "pair degree, 2..400"),
             ("higgs", "curve genus, at most 20"),
-            ("verify", "largest genus swept, 2..10"),
+            ("verify", "largest genus swept, 2..12"),
         ],
     )
     def test_help_states_the_ceiling(self, capsys, command, stated):

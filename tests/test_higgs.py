@@ -26,6 +26,7 @@ from modulimotives.higgs import FixedComponent
 from golden_diamonds import GENUS2_HIGGS, GENUS3_HIGGS_MOD_JAC
 from support import (
     audit_reference,
+    higgs_mod_jac_reference,
     hodge_realization_reference,
     poincare_reference,
     tate_range,
@@ -236,7 +237,15 @@ class TestModJacobian:
             cls = build(HiggsSpec(g, 1))
             assert cls.hodge_realization() == hodge_realization_reference(cls)
 
-    @pytest.mark.parametrize("locus", ["fixed_locus_bundles", "fixed_locus_111"])
+    @pytest.mark.parametrize("g", range(2, 11))
+    def test_q_matches_the_per_component_reference(self, g):
+        for d in (1, 2, -1, 4):
+            spec = HiggsSpec(g, d)
+            assert higgs_motive_mod_jac(spec) == higgs_mod_jac_reference(spec)
+
+    @pytest.mark.parametrize(
+        "locus", ["fixed_locus_bundles", "fixed_locus_111", "fixed_locus_12", "fixed_locus_21"]
+    )
     def test_q_is_summed_from_the_audited_records(self, monkeypatch, locus):
         # a twist changed in the records changes Q, so the audit checks what Q sums
         records = getattr(higgs_module, locus)
@@ -294,8 +303,10 @@ class TestAuditFailures:
     def fresh_caches(self):
         higgs_module.higgs_motive_mod_jac.cache_clear()
         pairs_module.pair_motive_flip.cache_clear()
+        pairs_module.pair_cofactor_flip.cache_clear()
         yield
         pairs_module.pair_motive_flip.cache_clear()
+        pairs_module.pair_cofactor_flip.cache_clear()
 
     @pytest.fixture(params=["wrong factor", "wrong twist"])
     def broken_kind(self, request, monkeypatch):

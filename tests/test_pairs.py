@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import modulimotives.pairs as pairs_module
+import modulimotives.verify as verify_module
 from modulimotives import (
     ChamberSpec,
     HypothesisViolation,
@@ -22,7 +24,9 @@ from modulimotives import (
     projective_space,
     sym_coeff_poly,
     sym_curve,
+    tate,
 )
+from modulimotives.pairs import pair_cofactor_flip, pair_cofactor_geo, pair_cofactor_sym
 from support import (
     conv,
     hodge_realization_reference,
@@ -289,10 +293,53 @@ class TestEffectivityCheck:
     def test_every_route_names_its_spec(self, monkeypatch, route):
         spec = ChamberSpec(g=3, e=4, i=1)
         pair_motive_flip.cache_clear()  # a cached class would skip the check
+        pair_cofactor_flip.cache_clear()
         monkeypatch.setattr(MotiveClass, "is_effective", lambda self: False)
         message = re.escape(f"pair class for {spec} has a negative coefficient")
         with pytest.raises(ArithmeticError, match=message):
             route(spec)
+
+
+class TestCofactors:
+    @pytest.fixture
+    def fresh_caches(self):
+        pair_motive_flip.cache_clear()
+        pair_cofactor_flip.cache_clear()
+        yield
+        pair_motive_flip.cache_clear()
+        pair_cofactor_flip.cache_clear()
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_jacobian_times_cofactor_is_each_routes_class(self, g):
+        jac = jacobian(g)
+        for e in range(2, 4 * g + 6):
+            for i in range((e - 1) // 2 + 1):
+                spec = ChamberSpec(g=g, e=e, i=i)
+                routes = [(pair_motive_flip, pair_cofactor_flip)]
+                if e <= 4 * g - 5:
+                    routes.append((pair_motive_geo, pair_cofactor_geo))
+                if g >= 2 and i < e // 2 <= 2 * g - 3:
+                    routes.append((pair_motive_sym, pair_cofactor_sym))
+                flip = jac * pair_cofactor_flip(spec)
+                for route, cofactor in routes:
+                    assert route(spec) == jac * cofactor(spec) == flip, (spec, route)
+
+    def test_a_perturbed_sym_cofactor_is_a_reported_failure(self, monkeypatch):
+        def perturbed(spec):
+            return pair_cofactor_sym(spec) + tate(spec.g, 1)
+
+        monkeypatch.setattr(verify_module, "pair_cofactor_sym", perturbed)
+        result = verify_module.sweep_route_agreement(3)
+        assert not result.passed
+        assert "symmetric-power basis form disagrees" in result.failures[0]
+
+    def test_a_negative_flip_block_raises_naming_the_spec(self, monkeypatch, fresh_caches):
+        block = pairs_module._flip_block
+        monkeypatch.setattr(pairs_module, "_flip_block", lambda g, e, j: -block(g, e, j))
+        spec = ChamberSpec(g=3, e=4, i=1)
+        message = re.escape(f"pair class for {spec} has a negative coefficient")
+        with pytest.raises(ArithmeticError, match=message):
+            pair_cofactor_flip(spec)
 
 
 class TestHodgeSymmetry:

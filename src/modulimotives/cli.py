@@ -38,13 +38,10 @@ from .verify import SUITES, run_suite
 
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
-# Ceilings on the inputs whose cost grows without bound.  On a 2-vCPU host the
-# costliest query inside each takes seconds:
-# * genus: ``higgs`` took 1.0 s at genus 18 and 1.2-1.5 s at 20; ``bundles``
-#   took 0.7 s at 20;
-# * pair degree: ``pairs`` took 2.4 s at genus 20, e = 300, and grows as about
-#   e^2.5, so about 5 s at 400;
-# * ``verify --suite all`` took 1.0 s at max-genus 10 and 2.3 s at 12.
+# Ceilings on the inputs whose cost grows without bound.  On a busy 2-vCPU host
+# (best of 3) the costliest query inside each took: at genus 20, ``higgs`` 0.7 s
+# and ``bundles`` 0.3 s as diamond-json, ``pairs`` 0.5 s at e = 400, chamber 199;
+# ``verify --suite all`` 1.3 s at max-genus 10 and 3.1 s at 12.
 MAX_GENUS = 20
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 12
@@ -87,6 +84,8 @@ def _add_genus_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_rational(text: str) -> Fraction:
+    if "e" in text.lower():  # Fraction("1e-10000000") builds 10^(10^7)
+        raise argparse.ArgumentTypeError(f"exponent notation is not accepted, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -129,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument(
         "--sigma",
         type=_parse_rational,
-        help="exact rational stability parameter, e.g. 3/4 (never a float)",
+        help="exact rational stability parameter, e.g. 3/4 or 0.75 (no float, no exponent)",
     )
     p_pairs.add_argument(
         "--method",

@@ -31,10 +31,10 @@ Pair classes always enter through the wall-crossing route
 hypothesis; the closed forms are verification-only.
 
 Every component carries exactly one Jacobian factor, so the class is
-``jacobian * Q``; :func:`higgs_motive_mod_jac`, the one assembly, builds Q in
-factored form.  A :class:`FixedComponent` holds no class, only the factors of
-its cofactor, which the twist audit realizes one by one; for (1,2) and (2,1)
-they are ``jacobian`` and the pair cofactor, as a pair class is their product.
+``jacobian * Q``, kept as its two factors; :func:`higgs_motive_mod_jac`, the
+one assembly, builds Q in factored form.  A :class:`FixedComponent` holds no
+class, only its cofactor's factors, which the twist audit realizes one by one;
+for (1,2) and (2,1) they are ``jacobian`` and the pair cofactor.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
 
 def higgs_motive(spec: HiggsSpec) -> MotiveClass:
     """Class of the rank-3 Higgs moduli space, ``jacobian * higgs_motive_mod_jac``."""
-    cls = jacobian(spec.g) * higgs_motive_mod_jac(spec)
-    return check_effective(cls, f"Higgs class for {spec}")
+    q = check_effective(higgs_motive_mod_jac(spec), f"Higgs class for {spec}")
+    return MotiveClass._product(jacobian(spec.g), q)  # effective, as both factors are
 
 
 class AuditRow(NamedTuple):

@@ -108,7 +108,7 @@ class MotiveClass:
     has no terms.
     """
 
-    __slots__ = ("_genus", "_terms")
+    __slots__ = ("_genus", "_terms", "_factors")
 
     def __init__(self, genus: int, terms: Mapping[SymMonomial, IntPoly]) -> None:
         check_ints(genus=genus)
@@ -125,6 +125,24 @@ class MotiveClass:
         object.__setattr__(obj, "_genus", genus)
         object.__setattr__(obj, "_terms", {m: p for m, p in terms.items() if p})
         return obj
+
+    @classmethod
+    def _product(cls, a: "MotiveClass", b: "MotiveClass") -> "MotiveClass":
+        """``a * b`` for two expanded classes, kept as its factors: its terms are
+        formed on first read, and its realizations multiply the factors'."""
+        a._check_genus(b)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_genus", a._genus)
+        object.__setattr__(obj, "_factors", (a, b))
+        return obj
+
+    def __getattr__(self, name: str) -> object:  # only for an unset slot
+        if name == "_factors":  # a class that is no product is its one factor
+            return (self,)
+        if name != "_terms":
+            raise AttributeError(name)
+        object.__setattr__(self, "_terms", sum_of_products([self._factors])._terms)
+        return self._terms
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MotiveClass is immutable")
@@ -223,6 +241,19 @@ class MotiveClass:
 
     # -- realizations ------------------------------------------------------
 
+    def _realized(self, table, step: int) -> tuple[dict[int, int], int]:
+        """A realization as one int per line at ``2^w``, and ``w``: a term
+        ``c(L) * mono`` puts ``h * c`` at offset ``m`` of line ``d`` for each
+        ``(d, m, h)`` of ``table(g, mono)[2]``, ``L`` as ``step`` digits."""
+        g, (*left, right) = self._genus, self._factors
+        def bound(cls, norm, k):  # over terms, norm|c_k| * table(g, mono)[k]
+            return sum(norm(map(abs, p.coeffs)) * table(g, m)[k] for m, p in cls._terms.items())
+        w = ((bound(left[0], sum, 1) if left else 1) * bound(right, max, 0)).bit_length() + 1
+        lines = _packed_lines(right, table, step, w)
+        if left:
+            lines = _line_product(_packed_lines(left[0], table, step, w), lines, w)
+        return lines, w
+
     def hodge_realization(self) -> BiPoly:
         """Hodge polynomial: the coefficient of ``u^p v^q`` is ``h^(p,q)``.
 
@@ -236,21 +267,16 @@ class MotiveClass:
         a term ``c(L) * mono`` adds ``h * c(uv) * (uv)^m`` to line ``d``.
         Each line is one int, its polynomial in ``uv`` at ``2^w`` (Kronecker
         substitution).  An output coefficient sums at most one ``c_k * h``
-        per term, so ``bound`` (the sum over terms of ``max|c_k| * max|h|``)
-        caps its absolute value; as ``2^(w-1) > bound``, it is exactly the
-        signed base-``2^w`` digit of its line.
+        per term, so the sum over terms of ``max|c_k| * max|h|`` bounds it, and
+        ``w`` is one more than that bound's bit length.  A product class
+        multiplies its factors' lines: line ``d1`` times line ``d2`` lands on
+        line ``d1 + d2``, shifted along it by ``min(d1+ + d2+, d1- + d2-)``
+        (``x+ = max(x, 0)``, ``x- = max(-x, 0)``); as an output coefficient
+        sums at most one right coefficient per left one, ``w`` comes from the
+        right bound times the left 1-norm bound, the sum of
+        ``sum|c_k| * sum|h|``.
         """
-        g, bound, terms = self._genus, 0, []
-        for mono, poly in self._terms.items():
-            hmax, table = _monomial_hodge_lines(g, mono)
-            bound += max(map(abs, poly.coeffs)) * hmax
-            terms.append((poly.coeffs, table))
-        w = bound.bit_length() + 1
-        lines: dict[int, int] = {}
-        for coeffs, table in terms:
-            packed = _pack(coeffs, w)
-            for d, m, h in table:
-                lines[d] = lines.get(d, 0) + ((h * packed) << (w * m))
+        lines, w = self._realized(_monomial_hodge_lines, 1)
         out: dict[tuple[int, int], int] = {}
         for d, x in lines.items():
             p, q = (d, 0) if d > 0 else (0, -d)
@@ -270,20 +296,13 @@ class MotiveClass:
         and ``deg`` its index sum.  The whole sum is one int, the polynomial
         at ``2^w`` (Kronecker substitution; ``c(t^2)`` is ``c`` packed at
         ``2^(2w)``).  An output coefficient sums at most one ``c_k * betti``
-        per term, so ``bound`` (the sum over terms of ``max|c_k| * betti``)
-        caps its absolute value; as ``2^(w-1) > bound``, it is exactly the
-        signed base-``2^w`` digit.
+        per term, so the sum over terms of ``max|c_k| * betti`` bounds it, and
+        ``w`` is one more than that bound's bit length.  A product class is one
+        int product of its factors' sums, ``w`` coming from the right bound
+        times the left 1-norm bound, the sum of ``sum|c_k| * betti``.
         """
-        g, bound, terms = self._genus, 0, []
-        for mono, poly in self._terms.items():
-            betti = prod(comb(2 * g, b) for b in mono)
-            bound += max(map(abs, poly.coeffs)) * betti
-            terms.append((poly.coeffs, betti, sum(mono)))
-        w = bound.bit_length() + 1
-        packed = 0
-        for coeffs, betti, deg in terms:
-            packed += (betti * _pack(coeffs, 2 * w)) << (w * deg)
-        return IntPoly._trusted(_unpack(packed, w))
+        lines, w = self._realized(_monomial_betti, 2)
+        return IntPoly._trusted(_unpack(lines.get(0, 0), w))
 
     def euler_characteristic(self) -> int:
         value = self.poincare_polynomial().evaluate(-1)
@@ -326,6 +345,24 @@ class MotiveClass:
             name = "1" if not mono else "*".join(f"S{b}" for b in mono)
             parts.append(f"{name}:({poly.to_str('L')})")
         return f"MotiveClass(g={self._genus}, " + " + ".join(parts) + ")"
+
+
+def _packed_lines(cls: MotiveClass, table, step: int, w: int) -> dict[int, int]:
+    lines: dict[int, int] = {}
+    for mono, poly in cls._terms.items():
+        packed = _pack(poly.coeffs, step * w)
+        for d, m, h in table(cls._genus, mono)[2]:
+            lines[d] = lines.get(d, 0) + ((h * packed) << (w * m))
+    return lines
+
+
+def _line_product(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for d1, x1 in a.items():
+        for d2, x2 in b.items():
+            shift = min(abs(d1), abs(d2)) if d1 * d2 < 0 else 0  # see hodge_realization
+            out[d1 + d2] = out.get(d1 + d2, 0) + ((x1 * x2) << (w * shift))
+    return out
 
 
 def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass:
@@ -441,14 +478,22 @@ def projective_space(g: int, n: int) -> MotiveClass:
 
 
 @lru_cache(maxsize=None)
-def _monomial_hodge_lines(g: int, mono: SymMonomial) -> tuple[int, tuple]:
-    """Hodge polynomial of a product of generators: its largest coefficient
-    and its ``(p - q, min(p, q), h)`` entries, one per line of the diamond."""
+def _monomial_betti(g: int, mono: SymMonomial) -> tuple[int, int, tuple]:
+    """The Poincaré image ``betti * t^deg`` of a monomial, as one line entry."""
+    betti = prod(comb(2 * g, b) for b in mono)
+    return betti, betti, ((0, sum(mono), betti),)
+
+
+@lru_cache(maxsize=None)
+def _monomial_hodge_lines(g: int, mono: SymMonomial) -> tuple[int, int, tuple]:
+    """Hodge polynomial of a product of generators: the largest and the sum of
+    its |coefficients|, and its ``(p - q, min(p, q), h)`` entries, one a line."""
     h = BiPoly.one()
     for b in mono:
         h = h * sym_h1_hodge_poly(g, b)
     entries = tuple((p - q, min(p, q), c) for (p, q), c in h.items())
-    return max(abs(c) for _, _, c in entries), entries
+    sizes = [abs(c) for _, _, c in entries]
+    return max(sizes), sum(sizes), entries
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ dimension ``e + 2g - 2``.
 Every pair class is ``jacobian`` times a cofactor.  Three independent routes
 compute the cofactor ``pair_cofactor_*`` as a list of terms (a class times a
 polynomial in ``L``) fed to one builder, which sums them in one packed product
-and checks the result effective; ``pair_motive_*`` multiplies it by ``jacobian``:
+and checks the result effective; ``pair_motive_*`` returns ``jacobian`` times
+it, kept as the two factors, whose realizations its own multiply:
 
 * :func:`pair_motive_flip` -- the wall-crossing recursion.  Crossing the
   j-th wall changes the class by the class of the wall's center times a
@@ -126,7 +127,7 @@ def _pair_cofactor(spec: ChamberSpec, terms: list[tuple[MotiveClass, IntPoly]]) 
 
 
 def _pair_class(spec: ChamberSpec, cofactor: MotiveClass) -> MotiveClass:
-    return check_effective(jacobian(spec.g) * cofactor, f"pair class for {spec}")
+    return MotiveClass._product(jacobian(spec.g), cofactor)  # effective, as both factors are
 
 
 def _flip_block(g: int, e: int, j: int) -> IntPoly:
@@ -143,7 +144,6 @@ def pair_cofactor_flip(spec: ChamberSpec) -> MotiveClass:
     return _pair_cofactor(spec, [(sym_curve(g, j), _flip_block(g, e, j)) for j in range(i + 1)])
 
 
-@lru_cache(maxsize=None)
 def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space by wall-crossing: ``jacobian * pair_cofactor_flip``."""
     return _pair_class(spec, pair_cofactor_flip(spec))

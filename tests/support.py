@@ -28,6 +28,8 @@ from modulimotives import (
     sym_h1_hodge_poly,
     zero,
 )
+from hypothesis import strategies as st
+
 from modulimotives.bundles import bundle_dimension, bundle_motive_fixed_det
 from modulimotives.higgs import AuditReport, AuditRow
 
@@ -40,6 +42,18 @@ def src_env() -> dict[str, str]:
     from this checkout's ``src/``."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def classes_strategy(g: int):
+    """Hypothesis classes of genus g: up to three terms, each a product of up
+    to three generators with up to 13 coefficients of absolute value <= 2^80."""
+    monos = st.lists(st.integers(1, g), min_size=0, max_size=3).map(
+        lambda ix: tuple(sorted(ix))
+    )
+    polys = st.lists(st.integers(-(2**80), 2**80), max_size=13).map(IntPoly)
+    return st.dictionaries(monos, polys, max_size=3).map(
+        lambda terms: MotiveClass(g, terms)
+    )
 
 
 def conv(a: list[int], b: list[int]) -> list[int]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,34 @@ class TestPairsCommand:
         assert code == 2
         assert "wall" in err
 
+    @pytest.mark.parametrize("text", ["1e-10000000", "1E-100000000", "2.5e0"])
+    def test_exponent_notation_is_refused_before_any_work(self, capsys, text):
+        # Fraction would build 10^(10^7) for the first; refused, it returns at once
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pairs", "--genus", "2", "--e", "5", "--sigma", text])
+        assert time.perf_counter() - start < 0.5
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --sigma: exponent notation is not accepted, got {text!r}" in err
+
+    def test_fraction_and_exact_decimal_select_one_chamber(self, capsys):
+        outputs = set()
+        for text in ("3/4", "0.75", "0.750", "6/8"):
+            code, out, _ = run_cli(
+                capsys, "pairs", "--genus", "2", "--e", "5", "--sigma", text,
+                "--format", "poincare",
+            )
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+
+    def test_help_states_the_sigma_forms(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["pairs", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "e.g. 3/4 or 0.75 (no float, no exponent)" in text
+
 
 class TestVerifyCommand:
     def test_identities_suite_passes(self, capsys):
@@ -228,10 +257,8 @@ class TestInternalErrors:
     @pytest.fixture(autouse=True)
     def fresh_caches(self):
         higgs_module.higgs_motive_mod_jac.cache_clear()
-        pairs_module.pair_motive_flip.cache_clear()
         pairs_module.pair_cofactor_flip.cache_clear()
         yield
-        pairs_module.pair_motive_flip.cache_clear()
         pairs_module.pair_cofactor_flip.cache_clear()
 
     def test_chamber_mismatch_exits_three(self, capsys, monkeypatch):

@@ -302,10 +302,8 @@ class TestAuditFailures:
     @pytest.fixture(autouse=True)
     def fresh_caches(self):
         higgs_module.higgs_motive_mod_jac.cache_clear()
-        pairs_module.pair_motive_flip.cache_clear()
         pairs_module.pair_cofactor_flip.cache_clear()
         yield
-        pairs_module.pair_motive_flip.cache_clear()
         pairs_module.pair_cofactor_flip.cache_clear()
 
     @pytest.fixture(params=["wrong factor", "wrong twist"])

@@ -29,6 +29,7 @@ from modulimotives import (
 from modulimotives.motive import sum_of_products
 from support import (
     class_product_reference,
+    classes_strategy,
     hodge_realization_reference,
     poincare_reference,
     sym_curve_reference,
@@ -220,18 +221,8 @@ class TestHodgeRealization:
         assert (jacobian(2) - jacobian(2)).hodge_realization().is_zero()
 
 
-def _classes_strategy(g):
-    monos = st.lists(st.integers(1, g), min_size=0, max_size=3).map(
-        lambda ix: tuple(sorted(ix))
-    )
-    polys = st.lists(st.integers(-(2**80), 2**80), max_size=13).map(IntPoly)
-    return st.dictionaries(monos, polys, max_size=3).map(
-        lambda terms: MotiveClass(g, terms)
-    )
-
-
 genus_and_classes = st.integers(2, 4).flatmap(
-    lambda g: st.tuples(st.just(g), _classes_strategy(g), _classes_strategy(g))
+    lambda g: st.tuples(st.just(g), classes_strategy(g), classes_strategy(g))
 )
 
 
@@ -281,7 +272,7 @@ class TestPackedRealization:
         expected = BiPoly({(k + 1, k + 1): 8 * x for k, x in enumerate(c.coeffs)})
         assert cls.hodge_realization() == expected == hodge_realization_reference(cls)
 
-    @given(_classes_strategy(1), _classes_strategy(1))
+    @given(classes_strategy(1), classes_strategy(1))
     def test_genus_one(self, a, b):
         for cls in (a, a - b, a * b):
             assert cls.hodge_realization() == hodge_realization_reference(cls)
@@ -294,7 +285,7 @@ class TestDirectPoincare:
     terms of max |c_k| times the monomial's Betti number)."""
 
     @given(st.integers(1, 4).flatmap(
-        lambda g: st.tuples(_classes_strategy(g), _classes_strategy(g))
+        lambda g: st.tuples(classes_strategy(g), classes_strategy(g))
     ))
     def test_matches_the_specialized_realization(self, classes):
         a, b = classes
@@ -339,7 +330,7 @@ class TestPackedProduct:
             assert x * y == class_product_reference(x, y)
 
     @given(st.integers(1, 4).flatmap(lambda g: st.lists(
-        st.tuples(_classes_strategy(g), _classes_strategy(g)), min_size=1, max_size=4
+        st.tuples(classes_strategy(g), classes_strategy(g)), min_size=1, max_size=4
     )))
     def test_sum_of_products_matches_the_sum_of_references(self, pairs):
         expected = zero(pairs[0][0].genus)

@@ -292,8 +292,7 @@ class TestEffectivityCheck:
     @pytest.mark.parametrize("route", [pair_motive_flip, pair_motive_sym, pair_motive_geo])
     def test_every_route_names_its_spec(self, monkeypatch, route):
         spec = ChamberSpec(g=3, e=4, i=1)
-        pair_motive_flip.cache_clear()  # a cached class would skip the check
-        pair_cofactor_flip.cache_clear()
+        pair_cofactor_flip.cache_clear()  # a cached cofactor would skip the check
         monkeypatch.setattr(MotiveClass, "is_effective", lambda self: False)
         message = re.escape(f"pair class for {spec} has a negative coefficient")
         with pytest.raises(ArithmeticError, match=message):
@@ -303,10 +302,8 @@ class TestEffectivityCheck:
 class TestCofactors:
     @pytest.fixture
     def fresh_caches(self):
-        pair_motive_flip.cache_clear()
         pair_cofactor_flip.cache_clear()
         yield
-        pair_motive_flip.cache_clear()
         pair_cofactor_flip.cache_clear()
 
     @pytest.mark.parametrize("g", range(1, 9))

@@ -1,0 +1,169 @@
+"""Classes kept as ``jacobian × cofactor``: a product class reads as the
+expanded product everywhere, and its realizations, the packed product of the
+factors' realizations, match the term-by-term references of the expanded
+class."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import modulimotives.motive as motive_module
+from modulimotives import (
+    BundleSpec,
+    ChamberSpec,
+    HiggsSpec,
+    IntPoly,
+    MotiveClass,
+    bundle_motive,
+    from_tate_poly,
+    higgs_motive,
+    jacobian,
+    pair_motive_flip,
+    pair_motive_geo,
+    pair_motive_sym,
+    sym_curve,
+    tate,
+    unit,
+    zero,
+)
+from modulimotives.cli import render_class
+from modulimotives.pairs import pair_cofactor_flip
+from support import classes_strategy, hodge_realization_reference, poincare_reference
+
+product = MotiveClass._product
+
+
+def assert_realizes_like(cls, expanded):
+    assert cls.hodge_realization() == hodge_realization_reference(expanded)
+    assert cls.poincare_polynomial() == poincare_reference(expanded)
+
+
+class TestRealizations:
+    @given(st.integers(1, 4).flatmap(
+        lambda g: st.tuples(classes_strategy(g), classes_strategy(g))
+    ))
+    def test_mixed_sign_factors(self, classes):
+        a, b = classes
+        for x, y in ((a, b), (b, a), (a - b, a), (-a, a)):
+            assert_realizes_like(product(x, y), x * y)
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_a_zero_factor(self, g):
+        for cls in (jacobian(g), MotiveClass(g, {(1,): IntPoly([-(2**80), 3])})):
+            for x, y in ((zero(g), cls), (cls, zero(g))):
+                p = product(x, y)
+                assert p.hodge_realization().is_zero() and p.poincare_polynomial().is_zero()
+                assert p.is_zero() and p == zero(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    def test_digits_at_the_edge_of_the_width(self, n):
+        # with a left 1-norm of 1 every digit reaches 2^(w-1) - 1; with 1 + L
+        # the inner digits reach the bound 2 (2^n - 1); alternating signs borrow
+        big = 2**n - 1
+        flat, alternating = IntPoly([big] * 7), IntPoly([big, -big] * 3 + [big])
+        cases = [
+            (unit(3), from_tate_poly(3, flat)),
+            (-unit(3), from_tate_poly(3, alternating)),
+            (tate(3, 2), from_tate_poly(3, alternating)),
+            (from_tate_poly(3, IntPoly([1, 1])), from_tate_poly(3, flat)),
+            (unit(1), MotiveClass(1, {(1,): flat})),
+            (MotiveClass(1, {(1,): IntPoly([1])}), MotiveClass(1, {(): alternating})),
+        ]
+        for a, b in cases:
+            assert_realizes_like(product(a, b), a * b)
+
+
+class TestReadsAsTheExpandedProduct:
+    def factors(self):
+        return jacobian(3), MotiveClass(3, {(): IntPoly([1, -2]), (1, 2): IntPoly([0, 5])})
+
+    def test_every_reader_sees_a_times_b(self):
+        a, b = self.factors()
+        for left, right in ((product(a, b), a * b), (a * b, product(a, b))):
+            assert left == right
+            assert left + unit(3) == right + unit(3)
+            assert left * sym_curve(3, 2) == right * sym_curve(3, 2)
+            assert left.to_json_dict() == right.to_json_dict()
+            assert repr(left) == repr(right)
+            assert left.as_dict() == right.as_dict()
+            assert left.monomials() == right.monomials()
+            assert left.is_effective() is right.is_effective() is False
+        assert product(a, a).is_effective()
+
+    def test_immutable(self):
+        p = product(*self.factors())
+        for formed in (False, True):  # before and after the terms are formed
+            if formed:
+                p.items()
+            for name in ("_terms", "_factors", "_genus", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(p, name, None)
+
+    def test_factors_of_two_genera(self):
+        with pytest.raises(motive_module.GenusMismatch):
+            product(jacobian(2), jacobian(3))
+
+
+def chamber_specs(g):
+    for e in range(2, 4 * g + 6):
+        for i in range((e - 1) // 2 + 1):
+            yield ChamberSpec(g=g, e=e, i=i)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_every_pair_chamber_by_each_route(g):
+    jac = jacobian(g)
+    for spec in chamber_specs(g):
+        expanded = jac * pair_cofactor_flip(spec)
+        hodge, poincare = hodge_realization_reference(expanded), poincare_reference(expanded)
+        routes = [pair_motive_flip]
+        if spec.e <= 4 * g - 5:
+            routes.append(pair_motive_geo)
+        if g >= 2 and spec.i < spec.e // 2 <= 2 * g - 3:
+            routes.append(pair_motive_sym)
+        for route in routes:
+            cls = route(spec)
+            assert cls.hodge_realization() == hodge, (spec, route)
+            assert cls.poincare_polynomial() == poincare, (spec, route)
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_higgs_and_bundle_classes(g):
+    for cls in (higgs_motive(HiggsSpec(g, 1)), bundle_motive(BundleSpec(g, 1))):
+        left, right = cls._factors
+        assert left is jacobian(g)
+        assert_realizes_like(cls, left * right)
+
+
+class TestRenderingKeepsTheFactors:
+    """Rendering a realization of a pair, Higgs or bundle class never forms
+    ``jacobian * cofactor``; only ``class-json`` does."""
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        products = motive_module.sum_of_products
+
+        def guard(pairs):
+            if any(x is jacobian(x.genus) for pair in pairs for x in pair):
+                raise AssertionError("the Jacobian product was expanded")
+            return products(pairs)
+
+        monkeypatch.setattr(motive_module, "sum_of_products", guard)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pair_motive_flip(ChamberSpec(g=4, e=9, i=3)),
+            lambda: pair_motive_sym(ChamberSpec(g=4, e=9, i=3)),
+            lambda: pair_motive_geo(ChamberSpec(g=4, e=9, i=3)),
+            lambda: higgs_motive(HiggsSpec(4, 2)),
+            lambda: bundle_motive(BundleSpec(4, 1)),
+        ],
+        ids=["flip", "sym", "geo", "higgs", "bundles"],
+    )
+    def test_realized_formats(self, guarded, build):
+        cls = build()
+        for fmt in ("poincare", "diamond-text", "diamond-json"):
+            render_class(cls, fmt)
+        with pytest.raises(AssertionError, match="was expanded"):
+            render_class(cls, "class-json")

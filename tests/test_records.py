@@ -13,9 +13,9 @@ from modulimotives import (
     InvalidChamber,
     audit_fixed_loci,
     fixed_locus_12,
-    pair_motive_flip,
 )
 from modulimotives.higgs import AuditReport
+from modulimotives.pairs import pair_cofactor_flip
 from support import src_env
 
 HIGGS = HiggsSpec(2, 1)
@@ -81,13 +81,13 @@ class TestEqualityAndCaching:
         assert HiggsSpec(3, 1) != HiggsSpec(3, 2)
 
     def test_equal_specs_share_one_cache_entry(self):
-        pair_motive_flip(ChamberSpec(g=3, e=7, i=2))
-        before = pair_motive_flip.cache_info()
-        again = pair_motive_flip(ChamberSpec(3, 7, 2))
-        after = pair_motive_flip.cache_info()
+        pair_cofactor_flip(ChamberSpec(g=3, e=7, i=2))
+        before = pair_cofactor_flip.cache_info()
+        again = pair_cofactor_flip(ChamberSpec(3, 7, 2))
+        after = pair_cofactor_flip.cache_info()
         assert after.hits == before.hits + 1
         assert after.currsize == before.currsize
-        assert again is pair_motive_flip(ChamberSpec(g=3, e=7, i=2))
+        assert again is pair_cofactor_flip(ChamberSpec(g=3, e=7, i=2))
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

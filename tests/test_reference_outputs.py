@@ -1,8 +1,9 @@
 """Byte-identity of rendered outputs against the benchmark's reference digests.
 
 ``perfbench/reference.json`` holds the SHA-256 of every output the benchmark
-can draw; it is only read here.  Pair outputs are digested as rendered, Higgs
-outputs as the CLI prints them (with the trailing newline).
+can draw; it is only read here, and every digest in it is checked.  Pair
+outputs are digested as rendered, Higgs and verify outputs as the CLI prints
+them (with the trailing newline).
 """
 
 import hashlib
@@ -18,9 +19,14 @@ from modulimotives import (
     pair_motive_flip,
 )
 from modulimotives.cli import FORMATS, render_class
+from modulimotives.verify import run_suite
 from support import ROOT
 
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+HIGGS_QUERIES = ((0, higgs_motive, "diamond-json"), (1, higgs_motive_mod_jac, "class-json"))
+# the suites the benchmark's verify-sweep runs, at its max genus
+VERIFY_SUITES = ("identities", "positivity", "duality", "degree-independence", "audit")
+VERIFY_MAX_GENUS = 6
 
 
 def digest(text: str) -> str:
@@ -34,7 +40,7 @@ def pair_chambers(g):
             yield e, i
 
 
-@pytest.mark.parametrize("g", range(2, 6))
+@pytest.mark.parametrize("g", range(2, 9))
 def test_pair_outputs_match_the_reference(g):
     for e, i in pair_chambers(g):
         cls = pair_motive_flip(ChamberSpec(g=g, e=e, i=i))
@@ -43,22 +49,31 @@ def test_pair_outputs_match_the_reference(g):
             assert digest(render_class(cls, fmt)) == expected, (g, e, i, fmt)
 
 
-@pytest.mark.parametrize("g", range(2, 7))
+@pytest.mark.parametrize("g", range(2, 10))
 def test_higgs_outputs_match_the_reference(g):
     spec = HiggsSpec(g, 1)
-    for mod_jac, build, fmt in ((0, higgs_motive, "diamond-json"),
-                                (1, higgs_motive_mod_jac, "class-json")):
+    for mod_jac, build, fmt in HIGGS_QUERIES:
         printed = render_class(build(spec), fmt) + "\n"
         expected = REFERENCE["higgs"][f"{g},{mod_jac},{fmt}"]
         assert digest(printed) == expected, (g, mod_jac)
 
 
-def test_every_pair_chamber_up_to_genus_five_is_covered():
-    keys = {key for key in REFERENCE["pairs"] if int(key.split(",")[0]) <= 5}
-    expected = {
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_outputs_match_the_reference(suite):
+    results = run_suite(suite, VERIFY_MAX_GENUS)
+    printed = "".join(result.render() + "\n" for result in results)
+    assert digest(printed) == REFERENCE["verify"][suite]["digest"]
+    assert sum(result.checked for result in results) == REFERENCE["verify"][suite]["checks"]
+
+
+def test_every_reference_key_is_covered():
+    pairs = {
         f"{g},{e},{i},{fmt}"
-        for g in range(2, 6)
+        for g in range(2, 9)
         for e, i in pair_chambers(g)
         for fmt in FORMATS
     }
-    assert keys == expected
+    higgs = {f"{g},{mod_jac},{fmt}" for g in range(2, 10) for mod_jac, _, fmt in HIGGS_QUERIES}
+    assert set(REFERENCE["pairs"]) == pairs
+    assert set(REFERENCE["higgs"]) == higgs
+    assert set(REFERENCE["verify"]) == set(VERIFY_SUITES)

@@ -10,8 +10,8 @@ curve with explicit pairs of Tate twists:
                 sym_curve(k1) * sym_curve(k2)
                 * (L^(k1+2k2) + L^(8g-8-2k1-3k2)).
 
-The full moduli space is the Jacobian class times that class, kept as the
-two factors, whose realizations its own multiply.  Up to isomorphism neither
+The full moduli space is ``jacobian(g)`` times that class, kept as the two
+factors, whose realizations it multiplies.  Up to isomorphism neither
 space depends on the degree d (dualizing and twisting by line bundles identify
 all coprime degrees), so d enters only through the coprimality validation.
 """
@@ -85,4 +85,4 @@ def bundle_motive_fixed_det(spec: BundleSpec) -> MotiveClass:
 
 def bundle_motive(spec: BundleSpec) -> MotiveClass:
     """Class of the rank-3 moduli space with varying determinant."""
-    return MotiveClass._product(jacobian(spec.g), bundle_motive_fixed_det(spec))
+    return jacobian(spec.g) * bundle_motive_fixed_det(spec)

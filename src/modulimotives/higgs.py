@@ -31,10 +31,11 @@ Pair classes always enter through the wall-crossing route
 hypothesis; the closed forms are verification-only.
 
 Every component carries exactly one Jacobian factor, so the class is
-``jacobian * Q``, kept as its two factors; :func:`higgs_motive_mod_jac`, the
-one assembly, builds Q in factored form.  A :class:`FixedComponent` holds no
-class, only its cofactor's factors, which the twist audit realizes one by one;
-for (1,2) and (2,1) they are ``jacobian`` and the pair cofactor.
+``jacobian(g) * Q``, a product that keeps its two factors;
+:func:`higgs_motive_mod_jac`, the one assembly, builds Q in factored form and
+checks it effective.  A :class:`FixedComponent` holds no class, only its
+cofactor's factors, which the twist audit realizes one by one; for (1,2) and
+(2,1) they are ``jacobian`` and the pair cofactor.
 """
 
 from __future__ import annotations
@@ -124,44 +125,35 @@ def fixed_locus_111(spec: HiggsSpec) -> list[FixedComponent]:
     return comps
 
 
-def _pair_component(
-    spec: HiggsSpec, kind: str, k: int, e: int, i: int, sigma: Fraction, twist: int
-) -> FixedComponent:
-    found = chamber_of(sigma, e)
-    if found != i:
-        raise ChamberMismatch(
-            f"type {kind}, k={k}: stability parameter {sigma} lies in chamber "
-            f"{found} of degree {e}, but the closed form predicts {i}"
-        )
-    chamber = ChamberSpec(g=spec.g, e=e, i=i)
-    dimension = spec.g + pair_dimension(chamber)
-    return FixedComponent(spec, kind, (k,), dimension, twist, chamber)
+def _pair_locus(spec: HiggsSpec, kind: str, y: int) -> list[FixedComponent]:
+    """The (1,2) components at residue ``y``, labelled ``kind``: the (2,1)
+    components at residue ``x`` have the (1,2) formulas at ``3 - x``."""
+    g, comps = spec.g, []
+    for k in range(g - 1):
+        e = 4 * g - 3 * k - 7 + y
+        i = 2 * g - 2 * k - 5 + y
+        sigma = Fraction(k + 1, 2) - Fraction(y, 6)
+        found = chamber_of(sigma, e)
+        if found != i:
+            raise ChamberMismatch(
+                f"type {kind}, k={k}: stability parameter {sigma} lies in chamber "
+                f"{found} of degree {e}, but the closed form predicts {i}"
+            )
+        chamber = ChamberSpec(g=g, e=e, i=i)
+        dimension = g + pair_dimension(chamber)
+        twist = 2 * g + 3 * k + 1 - y
+        comps.append(FixedComponent(spec, kind, (k,), dimension, twist, chamber))
+    return comps
 
 
 def fixed_locus_12(spec: HiggsSpec) -> list[FixedComponent]:
     """Type-(1,2) components, one per ``k = 0 .. g-2``."""
-    g, x = spec.g, spec.x
-    comps = []
-    for k in range(g - 1):
-        e = 4 * g - 3 * k - 7 + x
-        i = 2 * g - 2 * k - 5 + x
-        sigma = Fraction(k + 1, 2) - Fraction(x, 6)
-        twist = 2 * g + 3 * k + 1 - x
-        comps.append(_pair_component(spec, "(1,2)", k, e, i, sigma, twist))
-    return comps
+    return _pair_locus(spec, "(1,2)", spec.x)
 
 
 def fixed_locus_21(spec: HiggsSpec) -> list[FixedComponent]:
     """Type-(2,1) components, one per ``k = 0 .. g-2``."""
-    g, x = spec.g, spec.x
-    comps = []
-    for k in range(g - 1):
-        e = 4 * g - 4 - 3 * k - x
-        i = 2 * g - 2 * k - 2 - x
-        sigma = Fraction(k, 2) + Fraction(x, 6)
-        twist = 2 * g + 3 * k - 2 + x
-        comps.append(_pair_component(spec, "(2,1)", k, e, i, sigma, twist))
-    return comps
+    return _pair_locus(spec, "(2,1)", 3 - spec.x)
 
 
 def fixed_components(spec: HiggsSpec) -> list[FixedComponent]:
@@ -192,7 +184,7 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
     ``m2 <= M`` in the residue class of ``M``.  The (1,2) and (2,1) records
     enter as ``jacobian`` times the sum of their pair cofactors times
     ``L^twist``.  These products and the bundle cofactor form one packed
-    :func:`~modulimotives.motive.sum_of_products`.
+    :func:`~modulimotives.motive.sum_of_products`, checked effective.
     """
     g = spec.g
     paired = fixed_locus_12(spec) + fixed_locus_21(spec)  # factors (jacobian, pair cofactor)
@@ -208,13 +200,12 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
         (sym_curve(g, m1), upto[c.params[1]].tate_twist(c.twist + c.params[1] - top))
         for m1, c in largest.items()
     ]
-    return sum_of_products(pairs)
+    return check_effective(sum_of_products(pairs), f"Higgs class for {spec}")
 
 
 def higgs_motive(spec: HiggsSpec) -> MotiveClass:
     """Class of the rank-3 Higgs moduli space, ``jacobian * higgs_motive_mod_jac``."""
-    q = check_effective(higgs_motive_mod_jac(spec), f"Higgs class for {spec}")
-    return MotiveClass._product(jacobian(spec.g), q)  # effective, as both factors are
+    return jacobian(spec.g) * higgs_motive_mod_jac(spec)  # effective, as both factors are
 
 
 class AuditRow(NamedTuple):

@@ -126,16 +126,6 @@ class MotiveClass:
         object.__setattr__(obj, "_terms", {m: p for m, p in terms.items() if p})
         return obj
 
-    @classmethod
-    def _product(cls, a: "MotiveClass", b: "MotiveClass") -> "MotiveClass":
-        """``a * b`` for two expanded classes, kept as its factors: its terms are
-        formed on first read, and its realizations multiply the factors'."""
-        a._check_genus(b)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_genus", a._genus)
-        object.__setattr__(obj, "_factors", (a, b))
-        return obj
-
     def __getattr__(self, name: str) -> object:  # only for an unset slot
         if name == "_factors":  # a class that is no product is its one factor
             return (self,)
@@ -146,6 +136,9 @@ class MotiveClass:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MotiveClass is immutable")
+
+    def __reduce__(self) -> tuple:  # copy and pickle expanded, through the constructor
+        return MotiveClass, (self._genus, self._terms)
 
     # -- queries -----------------------------------------------------------
 
@@ -213,12 +206,10 @@ class MotiveClass:
     def __mul__(self, other: "MotiveClass | IntPoly | int") -> "MotiveClass":
         """Product with a class, or with a polynomial in ``L`` or an int.
 
-        Class by class, each coefficient polynomial is packed into one int at
-        ``2^w`` (Kronecker substitution), each pair of monomials costs one int
-        product, and each output monomial is unpacked once as signed digits.
-        With ``w = (||self||_1 * ||other||_inf).bit_length() + 1`` the digits
-        are exact: for a fixed output monomial and power of ``L``, each
-        coefficient of ``self`` meets at most one coefficient of ``other``.
+        Class by class the product keeps its two factors: its terms are formed
+        on first read, with one :func:`sum_of_products`, and its realizations
+        multiply the factors' realizations.  A product operand enters as its
+        formed terms, so products never nest and no chain keeps its history.
         """
         if isinstance(other, IntPoly) or _is_int(other):
             return MotiveClass._trusted(
@@ -226,7 +217,14 @@ class MotiveClass:
             )
         if not isinstance(other, MotiveClass):
             return NotImplemented
-        return sum_of_products([(self, other)])
+        self._check_genus(other)
+        factors = []
+        for x in (self, other):
+            factors.append(x if len(x._factors) == 1 else MotiveClass._trusted(x._genus, x._terms))
+        obj = object.__new__(MotiveClass)
+        object.__setattr__(obj, "_genus", self._genus)
+        object.__setattr__(obj, "_factors", tuple(factors))
+        return obj
 
     __rmul__ = __mul__
 
@@ -367,8 +365,14 @@ def _line_product(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int
 
 def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass:
     """The sum of ``a * b`` over a nonempty list of pairs of classes of one
-    genus, packed as in :meth:`MotiveClass.__mul__` at the summed bound
-    ``sum of ||a||_1 * ||b||_inf``, so each output monomial is unpacked once."""
+    genus, expanded: the one expansion of class products.
+
+    Each coefficient polynomial is packed into one int at ``2^w`` (Kronecker
+    substitution), each pair of monomials costs one int product, and each
+    output monomial is unpacked once as signed digits.  With ``w`` one more
+    than the bit length of the summed bound ``sum of ||a||_1 * ||b||_inf`` the
+    digits are exact: for a fixed pair, output monomial and power of ``L``,
+    each coefficient of ``a`` meets at most one coefficient of ``b``."""
     g, bound, sums = pairs[0][0].genus, 0, {}
     for a, b in pairs:
         pairs[0][0]._check_genus(a)

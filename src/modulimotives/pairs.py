@@ -9,8 +9,9 @@ dimension ``e + 2g - 2``.
 Every pair class is ``jacobian`` times a cofactor.  Three independent routes
 compute the cofactor ``pair_cofactor_*`` as a list of terms (a class times a
 polynomial in ``L``) fed to one builder, which sums them in one packed product
-and checks the result effective; ``pair_motive_*`` returns ``jacobian`` times
-it, kept as the two factors, whose realizations its own multiply:
+and checks the result effective; ``pair_motive_*`` returns
+``jacobian(g) * cofactor``, a product that keeps its two factors, so its
+realizations multiply theirs and it is effective as both factors are:
 
 * :func:`pair_motive_flip` -- the wall-crossing recursion.  Crossing the
   j-th wall changes the class by the class of the wall's center times a
@@ -126,10 +127,6 @@ def _pair_cofactor(spec: ChamberSpec, terms: list[tuple[MotiveClass, IntPoly]]) 
     return check_effective(acc, f"pair class for {spec}")
 
 
-def _pair_class(spec: ChamberSpec, cofactor: MotiveClass) -> MotiveClass:
-    return MotiveClass._product(jacobian(spec.g), cofactor)  # effective, as both factors are
-
-
 def _flip_block(g: int, e: int, j: int) -> IntPoly:
     # (L^(e+g-2j-1) - L^j) / (L - 1), expanded exactly; negative when
     # e+g-2j-1 < j, empty when equal.
@@ -146,7 +143,7 @@ def pair_cofactor_flip(spec: ChamberSpec) -> MotiveClass:
 
 def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space by wall-crossing: ``jacobian * pair_cofactor_flip``."""
-    return _pair_class(spec, pair_cofactor_flip(spec))
+    return jacobian(spec.g) * pair_cofactor_flip(spec)
 
 
 # (1 - T)^2 (1 - T^2), the common denominator of the coefficient polynomials
@@ -205,7 +202,7 @@ def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
 
 def pair_motive_sym(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space, ``jacobian * pair_cofactor_sym``."""
-    return _pair_class(spec, pair_cofactor_sym(spec))
+    return jacobian(spec.g) * pair_cofactor_sym(spec)
 
 
 def pair_cofactor_sym(spec: ChamberSpec) -> MotiveClass:
@@ -235,7 +232,7 @@ def pair_cofactor_sym(spec: ChamberSpec) -> MotiveClass:
 
 def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:
     """Class of the pair moduli space, ``jacobian * pair_cofactor_geo``."""
-    return _pair_class(spec, pair_cofactor_geo(spec))
+    return jacobian(spec.g) * pair_cofactor_geo(spec)
 
 
 def pair_cofactor_geo(spec: ChamberSpec) -> MotiveClass:

@@ -61,6 +61,9 @@ class IntPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self) -> tuple:  # copy and pickle through the public constructor
+        return IntPoly, (self._coeffs,)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -310,6 +313,9 @@ class BiPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BiPoly is immutable")
+
+    def __reduce__(self) -> tuple:  # copy and pickle through the public constructor
+        return BiPoly, (self._coeffs,)
 
     @classmethod
     def zero(cls) -> "BiPoly":

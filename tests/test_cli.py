@@ -16,6 +16,7 @@ from modulimotives import (
     HypothesisViolation,
     InvalidChamber,
     InvalidDegree,
+    IntPoly,
     MotiveClass,
     OnWall,
     OutOfRange,
@@ -276,6 +277,20 @@ class TestInternalErrors:
         assert not out
         assert err.startswith("internal error: ") and err.count("\n") == 1
         assert "negative coefficient" in err
+
+    def test_a_negative_q_exits_three_with_or_without_mod_jac(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            higgs_module,
+            "bundle_motive_fixed_det",
+            lambda spec: MotiveClass(spec.g, {(): IntPoly([-1])}),
+        )
+        for flags in ((), ("--mod-jac",)):
+            argv = ("higgs", "--genus", "2", "--degree", "1", *flags, "--format", "poincare")
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and not out, flags
+            assert err == (
+                "internal error: Higgs class for HiggsSpec(g=2, d=1) has a negative coefficient\n"
+            ), flags
 
     def test_internal_value_error_exits_three(self, capsys, monkeypatch):
         # a Jacobian of the wrong genus makes the first product with it (the

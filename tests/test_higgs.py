@@ -3,6 +3,7 @@ import pytest
 import modulimotives.higgs as higgs_module
 import modulimotives.motive as motive_module
 import modulimotives.pairs as pairs_module
+import modulimotives.verify as verify_module
 from modulimotives import (
     ChamberMismatch,
     HiggsSpec,
@@ -18,6 +19,7 @@ from modulimotives import (
     higgs_motive_mod_jac,
     jacobian,
     sym_curve,
+    tate,
     zero,
 )
 from modulimotives.bundles import bundle_dimension
@@ -263,6 +265,15 @@ class TestModJacobian:
                 assert higgs_motive_mod_jac(spec) == expected
         finally:
             higgs_motive_mod_jac.cache_clear()
+
+    def test_a_degree_dependent_q_fails_the_degree_sweep(self, monkeypatch):
+        q = higgs_module.higgs_motive_mod_jac
+        monkeypatch.setattr(
+            verify_module, "higgs_motive_mod_jac", lambda spec: q(spec) + tate(spec.g, spec.d)
+        )
+        result = verify_module.sweep_degree_independence(3)
+        assert result.checked == 2 and not result.passed
+        assert result.failures[0] == "g=2: Higgs classes for d=1 and d=2 differ"
 
     def test_unit_coefficient_starts_at_one(self):
         cls = higgs_motive_mod_jac(HiggsSpec(2, 1))

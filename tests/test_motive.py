@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -488,3 +490,29 @@ class TestSerialization:
     def test_constructor_rejects_a_genus_that_is_not_an_int(self, genus):
         with pytest.raises(TypeError, match="^genus must be an int"):
             MotiveClass(genus, {})
+
+
+class TestCopyAndPickle:
+    """The value types copy and pickle through their public constructors; a
+    product class may come back expanded."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            IntPoly([3, 0, -1]),
+            BiPoly({(1, 0): 2, (0, 1): -2}),
+            jacobian(3),
+            jacobian(3) * sym_curve(3, 2),
+        ],
+        ids=["intpoly", "bipoly", "class", "product-class"],
+    )
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_round_trips_are_equal_and_immutable(self, value, round_trip):
+        twin = round_trip(value)
+        assert type(twin) is type(value) and twin == value
+        with pytest.raises(AttributeError, match="is immutable"):
+            twin._coeffs = None

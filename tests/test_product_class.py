@@ -3,6 +3,8 @@ expanded product everywhere, and its realizations, the packed product of the
 factors' realizations, match the term-by-term references of the expanded
 class."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,9 +30,14 @@ from modulimotives import (
 )
 from modulimotives.cli import render_class
 from modulimotives.pairs import pair_cofactor_flip
-from support import classes_strategy, hodge_realization_reference, poincare_reference
+from support import (
+    class_product_reference,
+    classes_strategy,
+    hodge_realization_reference,
+    poincare_reference,
+)
 
-product = MotiveClass._product
+product = operator.mul
 
 
 def assert_realizes_like(cls, expanded):
@@ -45,7 +52,7 @@ class TestRealizations:
     def test_mixed_sign_factors(self, classes):
         a, b = classes
         for x, y in ((a, b), (b, a), (a - b, a), (-a, a)):
-            assert_realizes_like(product(x, y), x * y)
+            assert_realizes_like(product(x, y), class_product_reference(x, y))
 
     @pytest.mark.parametrize("g", [1, 2, 5])
     def test_a_zero_factor(self, g):
@@ -70,7 +77,7 @@ class TestRealizations:
             (MotiveClass(1, {(1,): IntPoly([1])}), MotiveClass(1, {(): alternating})),
         ]
         for a, b in cases:
-            assert_realizes_like(product(a, b), a * b)
+            assert_realizes_like(product(a, b), class_product_reference(a, b))
 
 
 class TestReadsAsTheExpandedProduct:
@@ -79,7 +86,8 @@ class TestReadsAsTheExpandedProduct:
 
     def test_every_reader_sees_a_times_b(self):
         a, b = self.factors()
-        for left, right in ((product(a, b), a * b), (a * b, product(a, b))):
+        expanded = class_product_reference(a, b)
+        for left, right in ((product(a, b), expanded), (expanded, product(a, b))):
             assert left == right
             assert left + unit(3) == right + unit(3)
             assert left * sym_curve(3, 2) == right * sym_curve(3, 2)
@@ -100,8 +108,36 @@ class TestReadsAsTheExpandedProduct:
                     setattr(p, name, None)
 
     def test_factors_of_two_genera(self):
-        with pytest.raises(motive_module.GenusMismatch):
-            product(jacobian(2), jacobian(3))
+        # raised when the product is formed, also for an operand that is a product
+        square = product(jacobian(2), jacobian(2))
+        for left in (jacobian(2), square):
+            with pytest.raises(motive_module.GenusMismatch):
+                product(left, jacobian(3))
+
+
+class TestTheOperator:
+    """``a * b`` is the product that keeps its factors."""
+
+    def test_a_long_chain_of_products_never_nests(self):
+        acc = unit(2)
+        for _ in range(1000):
+            acc = acc * tate(2, 1)
+        assert [len(factor._factors) for factor in acc._factors] == [1, 1]
+        assert acc == tate(2, 1000)
+        assert acc.poincare_polynomial() == IntPoly.monomial(2000)
+
+    def test_realizing_a_product_of_two_plain_classes_expands_nothing(self, monkeypatch):
+        a, b = sym_curve(3, 2), MotiveClass(3, {(): IntPoly([1, -2]), (1, 2): IntPoly([0, 5])})
+        expanded = class_product_reference(a, b)
+        hodge, poincare = hodge_realization_reference(expanded), poincare_reference(expanded)
+
+        def refuse(pairs):
+            raise AssertionError("sum_of_products was called")
+
+        monkeypatch.setattr(motive_module, "sum_of_products", refuse)
+        cls = a * b
+        assert cls.hodge_realization() == hodge
+        assert cls.poincare_polynomial() == poincare
 
 
 def chamber_specs(g):
@@ -132,7 +168,7 @@ def test_higgs_and_bundle_classes(g):
     for cls in (higgs_motive(HiggsSpec(g, 1)), bundle_motive(BundleSpec(g, 1))):
         left, right = cls._factors
         assert left is jacobian(g)
-        assert_realizes_like(cls, left * right)
+        assert_realizes_like(cls, class_product_reference(left, right))
 
 
 class TestRenderingKeepsTheFactors:

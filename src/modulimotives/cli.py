@@ -39,9 +39,9 @@ from .verify import SUITES, run_suite
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
 # Ceilings on the inputs whose cost grows without bound.  On a busy 2-vCPU host
-# (best of 3) the costliest query inside each took: at genus 20, ``higgs`` 0.7 s
+# (best of 7) the costliest query inside each took: at genus 20, ``higgs`` 0.6 s
 # and ``bundles`` 0.3 s as diamond-json, ``pairs`` 0.5 s at e = 400, chamber 199;
-# ``verify --suite all`` 1.3 s at max-genus 10 and 3.1 s at 12.
+# ``verify --suite all`` 1.5 s at max-genus 10 and 3.2 s at 12.
 MAX_GENUS = 20
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 12
@@ -52,7 +52,7 @@ def render_class(cls: MotiveClass, fmt: str) -> str:
         return json.dumps(cls.to_json_dict())
     if fmt == "poincare":
         return cls.poincare_polynomial().to_str("t")
-    matrix = cls.hodge_realization().to_matrix()
+    matrix = cls.hodge_matrix()
     if fmt == "diamond-text":
         return "\n".join(" ".join(str(c) for c in row) for row in matrix)
     if fmt == "diamond-json":

@@ -23,6 +23,7 @@ legitimate intermediate values in verification code.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import comb, prod
 from typing import Iterator, Mapping
@@ -86,13 +87,29 @@ def _pack(coeffs: tuple[int, ...], w: int) -> int:
     return packed
 
 
+def _width(bound: int, cast: bool = False) -> int:
+    """Bits per signed digit of absolute value at most ``bound``: one more than
+    ``bound`` needs, and with ``cast`` at least 8, 16, 32 or 64, the C ints
+    :func:`_unpack` casts to (worth it on the many-digit Hodge lines only)."""
+    w = bound.bit_length() + 1
+    return next((s for s in (8, 16, 32, 64) if cast and w <= s), w)
+
+
 def _unpack(x: int, w: int) -> list[int]:
     """The signed base-``2^w`` digits of ``x``, lowest first: the inverse of
     :func:`_pack` for digits of absolute value below ``2^(w-1)``.  Of ``n``
     such digits the top one outweighs the others, so ``|x| > 2^(w(n-1) - 1)``
-    and ``n <= |x|.bit_length() // w + 1``; the list may end in zeros."""
+    and ``n <= |x|.bit_length() // w + 1``; the list may end in zeros.  At a
+    C-int ``w`` a ``bias`` of ``2^(w-1)`` per slot lifts each digit ``c`` into
+    ``[0, 2^w)`` without carries, XOR with it leaves ``c``'s two's complement,
+    and one cast of the bytes reads them all."""
+    n = abs(x).bit_length() // w + 1
+    if w in (8, 16, 32, 64) and sys.byteorder == "little":  # the layout the cast reads
+        bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+        data = ((x + bias) ^ bias).to_bytes(n * w // 8, "little")
+        return memoryview(data).cast({8: "b", 16: "h", 32: "i", 64: "q"}[w]).tolist()
     half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
-    for _ in range(abs(x).bit_length() // w + 1):  # peel off the lowest digit
+    for _ in range(n):  # peel off the lowest digit
         c, x = x & mask, x >> w
         if c >= half:
             c, x = c - mask - 1, x + 1
@@ -239,14 +256,14 @@ class MotiveClass:
 
     # -- realizations ------------------------------------------------------
 
-    def _realized(self, table, step: int) -> tuple[dict[int, int], int]:
+    def _realized(self, table, step: int, cast: bool = False) -> tuple[dict[int, int], int]:
         """A realization as one int per line at ``2^w``, and ``w``: a term
         ``c(L) * mono`` puts ``h * c`` at offset ``m`` of line ``d`` for each
         ``(d, m, h)`` of ``table(g, mono)[2]``, ``L`` as ``step`` digits."""
         g, (*left, right) = self._genus, self._factors
         def bound(cls, norm, k):  # over terms, norm|c_k| * table(g, mono)[k]
             return sum(norm(map(abs, p.coeffs)) * table(g, m)[k] for m, p in cls._terms.items())
-        w = ((bound(left[0], sum, 1) if left else 1) * bound(right, max, 0)).bit_length() + 1
+        w = _width((bound(left[0], sum, 1) if left else 1) * bound(right, max, 0), cast)
         lines = _packed_lines(right, table, step, w)
         if left:
             lines = _line_product(_packed_lines(left[0], table, step, w), lines, w)
@@ -266,22 +283,35 @@ class MotiveClass:
         Each line is one int, its polynomial in ``uv`` at ``2^w`` (Kronecker
         substitution).  An output coefficient sums at most one ``c_k * h``
         per term, so the sum over terms of ``max|c_k| * max|h|`` bounds it, and
-        ``w`` is one more than that bound's bit length.  A product class
-        multiplies its factors' lines: line ``d1`` times line ``d2`` lands on
-        line ``d1 + d2``, shifted along it by ``min(d1+ + d2+, d1- + d2-)``
+        ``w`` is :func:`_width` of that bound, cast.  A product class multiplies
+        its factors' lines: line ``d1`` times line ``d2`` lands on line
+        ``d1 + d2``, shifted along it by ``min(d1+ + d2+, d1- + d2-)``
         (``x+ = max(x, 0)``, ``x- = max(-x, 0)``); as an output coefficient
         sums at most one right coefficient per left one, ``w`` comes from the
         right bound times the left 1-norm bound, the sum of
-        ``sum|c_k| * sum|h|``.
+        ``sum|c_k| * sum|h|``.  :meth:`hodge_matrix` places the lines.
         """
-        lines, w = self._realized(_monomial_hodge_lines, 1)
-        out: dict[tuple[int, int], int] = {}
+        rows = enumerate(self.hodge_matrix())
+        return BiPoly._trusted({(p, q): c for p, row in rows for q, c in enumerate(row) if c})
+
+    def hodge_matrix(self) -> list[list[int]]:
+        """``hodge_realization().to_matrix()``, ``[[0]]`` for the zero class.
+        Line ``d`` starts at ``(p, q) = (d, 0)`` or ``(0, -d)``; without trailing
+        zeros the lines span ``max(p + len)`` rows and ``max(q + len)`` columns,
+        and a line's k-th digit sits at ``(p+k)·cols + q + k`` of the row-major
+        list, so one slice of step ``cols + 1`` places the whole line."""
+        lines, w = self._realized(_monomial_hodge_lines, 1, cast=True)
+        placed, rows, cols = [], 1, 1
         for d, x in lines.items():
             p, q = (d, 0) if d > 0 else (0, -d)
-            for k, c in enumerate(_unpack(x, w)):
-                if c:
-                    out[p + k, q + k] = c
-        return BiPoly._trusted(out)
+            digits = IntPoly._trusted(_unpack(x, w)).coeffs  # no trailing zeros
+            if digits:
+                placed.append((p, q, digits))
+                rows, cols = max(rows, p + len(digits)), max(cols, q + len(digits))
+        flat = [0] * (rows * cols)
+        for p, q, digits in placed:
+            flat[p * cols + q : (p + len(digits)) * cols + q + len(digits) : cols + 1] = digits
+        return [flat[r : r + cols] for r in range(0, rows * cols, cols)]
 
     def poincare_polynomial(self) -> IntPoly:
         """Poincaré polynomial: the Hodge realization specialized by
@@ -295,7 +325,7 @@ class MotiveClass:
         at ``2^w`` (Kronecker substitution; ``c(t^2)`` is ``c`` packed at
         ``2^(2w)``).  An output coefficient sums at most one ``c_k * betti``
         per term, so the sum over terms of ``max|c_k| * betti`` bounds it, and
-        ``w`` is one more than that bound's bit length.  A product class is one
+        ``w`` is :func:`_width` of that bound.  A product class is one
         int product of its factors' sums, ``w`` coming from the right bound
         times the left 1-norm bound, the sum of ``sum|c_k| * betti``.
         """
@@ -369,8 +399,8 @@ def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass
 
     Each coefficient polynomial is packed into one int at ``2^w`` (Kronecker
     substitution), each pair of monomials costs one int product, and each
-    output monomial is unpacked once as signed digits.  With ``w`` one more
-    than the bit length of the summed bound ``sum of ||a||_1 * ||b||_inf`` the
+    output monomial is unpacked once as signed digits.  With ``w`` the
+    :func:`_width` of the summed bound ``sum of ||a||_1 * ||b||_inf`` the
     digits are exact: for a fixed pair, output monomial and power of ``L``,
     each coefficient of ``a`` meets at most one coefficient of ``b``."""
     g, bound, sums = pairs[0][0].genus, 0, {}
@@ -379,7 +409,7 @@ def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass
         a._check_genus(b)
         norm_inf = max((max(map(abs, p.coeffs)) for p in b._terms.values()), default=0)
         bound += sum(sum(map(abs, p.coeffs)) for p in a._terms.values()) * norm_inf
-    w = bound.bit_length() + 1
+    w = _width(bound)
     for a, b in pairs:
         packed = [(m, _pack(p.coeffs, w)) for m, p in b._terms.items()]
         for m1, p1 in a._terms.items():

@@ -155,10 +155,10 @@ _DENOMINATOR = (
 def sym_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
     """Coefficient polynomial of ``S_b`` in the pair class, as a polynomial.
 
-    Equals ``(T^b - T^(e+g-1-2i)) (1 - T^(i-b+1)) (1 - T^(i-b+2))`` divided
-    exactly by ``(1-T)^2 (1-T^2)``.  Requires ``0 <= b <= i < e/2`` and
-    ``g >= 2``; the quotient has non-negative coefficients exactly when
-    ``b <= e+g-1-2i``.
+    Equals ``(T^b - T^n) (1 - T^a) (1 - T^(a+1))``, summed from its eight
+    signed monomials (``n = e+g-1-2i``, ``a = i-b+1``), divided exactly by
+    ``(1-T)^2 (1-T^2)``.  Requires ``0 <= b <= i < e/2`` and ``g >= 2``; the
+    quotient has non-negative coefficients exactly when ``b <= n``.
     """
     check_ints(g=g, i=i, e=e, b=b)
     if g < 2:
@@ -167,13 +167,12 @@ def sym_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
         raise HypothesisViolation(f"need 0 <= b <= i, got b={b}, i={i}")
     if not 2 * i < e:
         raise HypothesisViolation(f"need i < e/2, got i={i}, e={e}")
-    one = IntPoly.one()
-    num = (
-        (IntPoly.monomial(b) - IntPoly.monomial(e + g - 1 - 2 * i))
-        * (one - IntPoly.monomial(i - b + 1))
-        * (one - IntPoly.monomial(i - b + 2))
-    )
-    return exact_div(num, _DENOMINATOR)
+    n, a = e + g - 1 - 2 * i, i - b + 1
+    num = [0] * (max(b, n) + 2 * a + 2)
+    for k, s in ((b, 1), (n, -1)):  # (T^b - T^n)(1 - T^a - T^(a+1) + T^(2a+1))
+        for j, t in ((0, 1), (a, -1), (a + 1, -1), (2 * a + 1, 1)):
+            num[k + j] += s * t
+    return exact_div(IntPoly._trusted(num), _DENOMINATOR)
 
 
 def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:

@@ -81,11 +81,9 @@ class IntPoly:
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "IntPoly":
         """``coeff * T^exponent``."""
-        if exponent < 0:
+        if _as_int(exponent, "exponent") < 0:
             raise ValueError(f"negative exponent {exponent}")
-        if coeff == 0:
-            return cls.zero()
-        return cls((0,) * exponent + (coeff,))
+        return cls._trusted([0] * exponent + [_as_int(coeff, "coeff")])
 
     @classmethod
     def geometric(cls, low: int, high: int) -> "IntPoly":
@@ -94,11 +92,11 @@ class IntPoly:
         Empty (zero) when ``high < low``; this is the expanded form of
         ``(T^(high+1) - T^low) / (T - 1)``.
         """
-        if high < low:
+        if _as_int(high, "high") < _as_int(low, "low"):
             return cls.zero()
         if low < 0:
             raise ValueError(f"negative exponent {low}")
-        return cls((0,) * low + (1,) * (high - low + 1))
+        return cls._trusted([0] * low + [1] * (high - low + 1))
 
     # -- basic queries -----------------------------------------------------
 
@@ -184,7 +182,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
+        if _as_int(n, "exponent") < 0:
             raise ValueError("negative powers are not polynomials")
         result = IntPoly.one()
         base = self
@@ -197,7 +195,7 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by ``T^k`` (k >= 0)."""
-        if k < 0:
+        if _as_int(k, "shift") < 0:
             raise ValueError(f"negative shift {k}")
         if not self._coeffs:
             return self
@@ -251,6 +249,9 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     the leading coefficient does not divide, or if a nonzero remainder is
     left.  The result ``q`` always satisfies ``q * den == num``.
     """
+    for name, poly in (("num", num), ("den", den)):
+        if not isinstance(poly, IntPoly):
+            raise TypeError(f"{name} must be IntPoly, got {type(poly).__name__}")
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero():

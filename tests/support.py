@@ -16,6 +16,7 @@ from modulimotives import (
     HiggsSpec,
     IntPoly,
     MotiveClass,
+    exact_div,
     fixed_components,
     folded_coeff_poly,
     from_tate_poly,
@@ -214,6 +215,33 @@ def hodge_realization_reference(cls: MotiveClass) -> BiPoly:
             factor = factor * sym_h1_hodge_poly(cls.genus, b)
         total = total + factor
     return total
+
+
+def unpack_reference(x: int, w: int) -> list[int]:
+    """The signed base-``2^w`` digits of ``x``, lowest first, peeled off one
+    per shift: a digit at or above ``2^(w-1)`` is taken as negative and
+    borrows one from the rest.  As many digits as ``|x|`` can hold."""
+    half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
+    for _ in range(abs(x).bit_length() // w + 1):
+        c, x = x & mask, x >> w
+        if c >= half:
+            c, x = c - mask - 1, x + 1
+        digits.append(c)
+    return digits
+
+
+def sym_coeff_reference(g: int, i: int, e: int, b: int) -> IntPoly:
+    """The coefficient polynomial of ``S_b`` in the pair class in product
+    form: ``(T^b - T^(e+g-1-2i)) (1 - T^(i-b+1)) (1 - T^(i-b+2))`` as a
+    product of three ``IntPoly`` factors, divided exactly by
+    ``(1-T)^2 (1-T^2)``."""
+    one, t = IntPoly.one(), IntPoly.variable()
+    num = (
+        (IntPoly.monomial(b) - IntPoly.monomial(e + g - 1 - 2 * i))
+        * (one - IntPoly.monomial(i - b + 1))
+        * (one - IntPoly.monomial(i - b + 2))
+    )
+    return exact_div(num, (one - t) * (one - t) * (one - IntPoly.monomial(2)))
 
 
 def poincare_reference(cls: MotiveClass) -> IntPoly:

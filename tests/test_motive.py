@@ -231,18 +231,20 @@ genus_and_classes = st.integers(2, 4).flatmap(
 class TestPackedRealization:
     """Edge cases of the packed realization, each checked against the
     term-by-term reference.  A class is packed with ``w`` bits per digit,
-    where ``2^(w-1) - 1`` is the smallest such number >= the coefficient
-    bound (the sum over terms of max |c_k| times the largest Hodge number)."""
+    ``w = _width(bound, cast=True)``: one bit more than the coefficient bound
+    (the sum over terms of max |c_k| times the largest Hodge number) needs,
+    rounded up to 8, 16, 32 or 64 bits when it fits in 64."""
 
     @pytest.mark.parametrize("g", [1, 2, 5])
     def test_zero_class(self, g):
         assert zero(g).hodge_realization().is_zero()
         assert hodge_realization_reference(zero(g)).is_zero()
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80, 15, 31, 71, 135])
     def test_digits_at_the_edge_of_the_width(self, n):
-        # one term of Hodge number 1: the bound is 2^n - 1, so w = n + 1 and
-        # every digit is +-(2^(w-1) - 1), alternating so that each one borrows
+        # one term of Hodge number 1: the bound is 2^n - 1, so where n + 1 is 8,
+        # 16, 32, 64 or above 64, w = n + 1 and every digit is +-(2^(w-1) - 1),
+        # alternating so that each one borrows
         big = 2**n - 1
         coeffs = [big, -big] * 3 + [big]
         for cls, h in (
@@ -299,7 +301,7 @@ class TestDirectPoincare:
         assert zero(g).poincare_polynomial().is_zero()
         assert (jacobian(g) - jacobian(g)).poincare_polynomial().is_zero()
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80, 15, 31, 71, 135])
     def test_digits_at_the_edge_of_the_width(self, n):
         # both bounds are 2^n - 1, so w = n + 1; the digits alternate in sign
         # so that each one borrows
@@ -356,7 +358,7 @@ class TestPackedProduct:
         assert product == class_product_reference(plus, minus)
         assert product.coefficient(()) == -(c * c)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80, 15, 31, 71, 135])
     def test_digits_at_the_edge_of_the_width(self, n):
         # ||a||_1 = 1 and ||b||_inf = 2^n - 1, so w = n + 1 and every digit
         # is +-(2^(w-1) - 1), alternating so that each one borrows

@@ -184,6 +184,27 @@ class TestPublicConstructorsValidate:
         with pytest.raises(TypeError, match="exponents must be int"):
             BiPoly({key: 2})
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            pytest.param(lambda: IntPoly.monomial(True), "exponent", id="monomial-bool"),
+            pytest.param(lambda: IntPoly.monomial(1.5), "exponent", id="monomial-float"),
+            pytest.param(lambda: IntPoly.monomial(2, 0.0), "coeff", id="monomial-coeff-float"),
+            pytest.param(lambda: IntPoly.monomial(2, True), "coeff", id="monomial-coeff-bool"),
+            pytest.param(lambda: IntPoly.geometric(True, 3), "low", id="geometric-low"),
+            pytest.param(lambda: IntPoly.geometric(0, 2.0), "high", id="geometric-high"),
+            pytest.param(lambda: P(1, 2).shift(True), "shift", id="shift-bool"),
+            pytest.param(lambda: P(1, 2).shift(1.0), "shift", id="shift-float"),
+            pytest.param(lambda: P(1, 2) ** True, "exponent", id="pow-bool"),
+            pytest.param(lambda: P(1, 2) ** 2.0, "exponent", id="pow-float"),
+            pytest.param(lambda: exact_div(P(1, 2), 3), "den", id="exact_div-den"),
+            pytest.param(lambda: exact_div([1, 2], P(1)), "num", id="exact_div-num"),
+        ],
+    )
+    def test_scalar_arguments_are_named(self, build, name):
+        with pytest.raises(TypeError, match=f"^{name} must be"):
+            build()
+
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             IntPoly.monomial(-1)

@@ -41,7 +41,9 @@ product = operator.mul
 
 
 def assert_realizes_like(cls, expanded):
-    assert cls.hodge_realization() == hodge_realization_reference(expanded)
+    hodge = hodge_realization_reference(expanded)
+    assert cls.hodge_realization() == hodge
+    assert cls.hodge_matrix() == hodge.to_matrix()
     assert cls.poincare_polynomial() == poincare_reference(expanded)
 
 
@@ -62,10 +64,11 @@ class TestRealizations:
                 assert p.hodge_realization().is_zero() and p.poincare_polynomial().is_zero()
                 assert p.is_zero() and p == zero(g)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80, 15, 31, 71, 135])
     def test_digits_at_the_edge_of_the_width(self, n):
-        # with a left 1-norm of 1 every digit reaches 2^(w-1) - 1; with 1 + L
-        # the inner digits reach the bound 2 (2^n - 1); alternating signs borrow
+        # with a left 1-norm of 1 every digit reaches 2^(w-1) - 1 (on the Hodge
+        # lines where n + 1 is 8, 16, 32, 64 or above 64); with 1 + L the inner
+        # digits reach the bound 2 (2^n - 1); alternating signs borrow
         big = 2**n - 1
         flat, alternating = IntPoly([big] * 7), IntPoly([big, -big] * 3 + [big])
         cases = [
@@ -160,6 +163,7 @@ def test_every_pair_chamber_by_each_route(g):
         for route in routes:
             cls = route(spec)
             assert cls.hodge_realization() == hodge, (spec, route)
+            assert cls.hodge_matrix() == hodge.to_matrix(), (spec, route)
             assert cls.poincare_polynomial() == poincare, (spec, route)
 
 

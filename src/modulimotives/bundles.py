@@ -11,9 +11,9 @@ curve with explicit pairs of Tate twists:
                 * (L^(k1+2k2) + L^(8g-8-2k1-3k2)).
 
 The full moduli space is ``jacobian(g)`` times that class, kept as the two
-factors, whose realizations it multiplies.  Up to isomorphism neither
-space depends on the degree d (dualizing and twisting by line bundles identify
-all coprime degrees), so d enters only through the coprimality validation.
+factors and realized with the Jacobian in closed form.  Up to isomorphism
+neither space depends on the degree d (dualizing and twisting by line bundles
+identify all coprime degrees), so d enters only through the coprimality check.
 """
 
 from __future__ import annotations

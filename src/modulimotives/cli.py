@@ -39,10 +39,10 @@ from .verify import SUITES, run_suite
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
 # Ceilings on the inputs whose cost grows without bound.  On a busy 2-vCPU host
-# (best of 7) the costliest query inside each took: at genus 20, ``higgs`` 0.6 s
-# and ``bundles`` 0.3 s as diamond-json, ``pairs`` 0.5 s at e = 400, chamber 199;
-# ``verify --suite all`` 1.5 s at max-genus 10 and 3.2 s at 12.
-MAX_GENUS = 20
+# (median of 7) the costliest query inside each took: at genus 30, ``higgs`` 1.5 s
+# as class-json, 1.4 s as diamond-json, 1.2 s with --mod-jac, ``bundles`` 0.8 s,
+# ``pairs`` 0.4 s at e = 400, chamber 199; ``verify --suite all`` 3.2 s at 12.
+MAX_GENUS = 30
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 12
 

@@ -224,9 +224,10 @@ class MotiveClass:
         """Product with a class, or with a polynomial in ``L`` or an int.
 
         Class by class the product keeps its two factors: its terms are formed
-        on first read, with one :func:`sum_of_products`, and its realizations
-        multiply the factors' realizations.  A product operand enters as its
-        formed terms, so products never nest and no chain keeps its history.
+        on first read, with one :func:`sum_of_products`.  A Jacobian factor is
+        realized in closed form (:func:`_times_jacobian`); any other product
+        realizes its terms.  A product operand enters as its formed terms, so
+        products never nest and no chain keeps its history.
         """
         if isinstance(other, IntPoly) or _is_int(other):
             return MotiveClass._trusted(
@@ -256,18 +257,18 @@ class MotiveClass:
 
     # -- realizations ------------------------------------------------------
 
-    def _realized(self, table, step: int, cast: bool = False) -> tuple[dict[int, int], int]:
-        """A realization as one int per line at ``2^w``, and ``w``: a term
-        ``c(L) * mono`` puts ``h * c`` at offset ``m`` of line ``d`` for each
-        ``(d, m, h)`` of ``table(g, mono)[2]``, ``L`` as ``step`` digits."""
-        g, (*left, right) = self._genus, self._factors
-        def bound(cls, norm, k):  # over terms, norm|c_k| * table(g, mono)[k]
-            return sum(norm(map(abs, p.coeffs)) * table(g, m)[k] for m, p in cls._terms.items())
-        w = _width((bound(left[0], sum, 1) if left else 1) * bound(right, max, 0), cast)
-        lines = _packed_lines(right, table, step, w)
-        if left:
-            lines = _line_product(_packed_lines(left[0], table, step, w), lines, w)
-        return lines, w
+    def _realized(self, hodge: bool) -> tuple[dict[int, int], int]:
+        """The Hodge lines, or the Poincaré line ``{0: x}``, as ints at ``2^w``,
+        and ``w``; a product with a Jacobian factor packs the other factor and
+        applies :func:`_times_jacobian`, any other class packs its terms."""
+        g, factors = self._genus, self._factors
+        table = _monomial_hodge_lines if hodge else _monomial_betti
+        jac = len(factors) == 2 and jacobian(g) in factors
+        x = (factors[1] if factors[0] == jacobian(g) else factors[0]) if jac else self
+        bound = sum(max(map(abs, p.coeffs)) * table(g, m)[0] for m, p in x._terms.items())
+        w = _width(4**g * bound if jac else bound, cast=hodge)
+        lines = _packed_lines(x, table, 1 if hodge else 2, w)
+        return (_times_jacobian(lines, g, w, hodge) if jac else lines), w
 
     def hodge_realization(self) -> BiPoly:
         """Hodge polynomial: the coefficient of ``u^p v^q`` is ``h^(p,q)``.
@@ -283,13 +284,11 @@ class MotiveClass:
         Each line is one int, its polynomial in ``uv`` at ``2^w`` (Kronecker
         substitution).  An output coefficient sums at most one ``c_k * h``
         per term, so the sum over terms of ``max|c_k| * max|h|`` bounds it, and
-        ``w`` is :func:`_width` of that bound, cast.  A product class multiplies
-        its factors' lines: line ``d1`` times line ``d2`` lands on line
-        ``d1 + d2``, shifted along it by ``min(d1+ + d2+, d1- + d2-)``
-        (``x+ = max(x, 0)``, ``x- = max(-x, 0)``); as an output coefficient
-        sums at most one right coefficient per left one, ``w`` comes from the
-        right bound times the left 1-norm bound, the sum of
-        ``sum|c_k| * sum|h|``.  :meth:`hodge_matrix` places the lines.
+        ``w`` is :func:`_width` of that bound, cast.  A product with a Jacobian
+        factor multiplies the other factor's lines by ``(1+u)^g (1+v)^g``
+        (:func:`_times_jacobian`), at ``w`` from ``4^g``, the Jacobian's
+        coefficient sum, times that factor's bound; any other product realizes
+        its terms.  :meth:`hodge_matrix` places the lines.
         """
         rows = enumerate(self.hodge_matrix())
         return BiPoly._trusted({(p, q): c for p, row in rows for q, c in enumerate(row) if c})
@@ -300,7 +299,7 @@ class MotiveClass:
         zeros the lines span ``max(p + len)`` rows and ``max(q + len)`` columns,
         and a line's k-th digit sits at ``(p+k)·cols + q + k`` of the row-major
         list, so one slice of step ``cols + 1`` places the whole line."""
-        lines, w = self._realized(_monomial_hodge_lines, 1, cast=True)
+        lines, w = self._realized(hodge=True)
         placed, rows, cols = [], 1, 1
         for d, x in lines.items():
             p, q = (d, 0) if d > 0 else (0, -d)
@@ -325,11 +324,11 @@ class MotiveClass:
         at ``2^w`` (Kronecker substitution; ``c(t^2)`` is ``c`` packed at
         ``2^(2w)``).  An output coefficient sums at most one ``c_k * betti``
         per term, so the sum over terms of ``max|c_k| * betti`` bounds it, and
-        ``w`` is :func:`_width` of that bound.  A product class is one
-        int product of its factors' sums, ``w`` coming from the right bound
-        times the left 1-norm bound, the sum of ``sum|c_k| * betti``.
+        ``w`` is :func:`_width` of that bound.  A Jacobian factor multiplies
+        the other factor's sum by ``(1+t)^(2g)``, at ``w`` from ``4^g`` times
+        its bound; any other product realizes its terms.
         """
-        lines, w = self._realized(_monomial_betti, 2)
+        lines, w = self._realized(hodge=False)
         return IntPoly._trusted(_unpack(lines.get(0, 0), w))
 
     def euler_characteristic(self) -> int:
@@ -379,18 +378,27 @@ def _packed_lines(cls: MotiveClass, table, step: int, w: int) -> dict[int, int]:
     lines: dict[int, int] = {}
     for mono, poly in cls._terms.items():
         packed = _pack(poly.coeffs, step * w)
-        for d, m, h in table(cls._genus, mono)[2]:
+        for d, m, h in table(cls._genus, mono)[1]:
             lines[d] = lines.get(d, 0) + ((h * packed) << (w * m))
     return lines
 
 
-def _line_product(a: dict[int, int], b: dict[int, int], w: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for d1, x1 in a.items():
-        for d2, x2 in b.items():
-            shift = min(abs(d1), abs(d2)) if d1 * d2 < 0 else 0  # see hodge_realization
-            out[d1 + d2] = out.get(d1 + d2, 0) + ((x1 * x2) << (w * shift))
-    return out
+def _times_jacobian(lines: dict[int, int], g: int, w: int, hodge: bool) -> dict[int, int]:
+    """``lines`` times the Jacobian: the Poincaré line times ``(1+t)^(2g)`` at
+    ``t = 2^w``, the Hodge lines times ``(1+u)^g`` and then ``(1+v)^g``.  ``u``
+    takes line ``d`` to ``d + 1``, ``v`` to ``d - 1``, and a step starting on
+    the far side of line 0 also raises ``min(p, q)``: one digit along."""
+    if not hodge:
+        return {0: lines.get(0, 0) * (1 + (1 << w)) ** (2 * g)}
+    binomials = [comb(g, k) for k in range(g + 1)]
+    for sign in (1, -1):
+        out: dict[int, int] = {}
+        for d, x in lines.items():
+            for c in binomials:
+                out[d] = out.get(d, 0) + c * x
+                x, d = (x << w if sign * d < 0 else x), d + sign
+        lines = out
+    return lines
 
 
 def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass:
@@ -483,6 +491,8 @@ def sym_curve(g: int, j: int) -> MotiveClass:
     the coefficient of ``S_b`` (``S_0 = 1``).
     """
     check_ints(g=g, j=j)
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     if j < 0:
         raise ValueError(f"negative symmetric power {j}")
     terms = {}
@@ -512,25 +522,24 @@ def projective_space(g: int, n: int) -> MotiveClass:
 
 
 @lru_cache(maxsize=None)
-def _monomial_betti(g: int, mono: SymMonomial) -> tuple[int, int, tuple]:
-    """The Poincaré image ``betti * t^deg`` of a monomial, as one line entry."""
+def _monomial_betti(g: int, mono: SymMonomial) -> tuple[int, tuple]:
+    """``betti`` and the Poincaré image ``betti * t^deg`` of a monomial, one line entry."""
     betti = prod(comb(2 * g, b) for b in mono)
-    return betti, betti, ((0, sum(mono), betti),)
+    return betti, ((0, sum(mono), betti),)
 
 
 @lru_cache(maxsize=None)
-def _monomial_hodge_lines(g: int, mono: SymMonomial) -> tuple[int, int, tuple]:
-    """Hodge polynomial of a product of generators: the largest and the sum of
-    its |coefficients|, and its ``(p - q, min(p, q), h)`` entries, one a line."""
+def _monomial_hodge_lines(g: int, mono: SymMonomial) -> tuple[int, tuple]:
+    """Hodge polynomial of a product of generators: the largest of its
+    |coefficients|, and its ``(p - q, min(p, q), h)`` entries, one a line."""
     h = BiPoly.one()
     for b in mono:
         h = h * sym_h1_hodge_poly(g, b)
     entries = tuple((p - q, min(p, q), c) for (p, q), c in h.items())
-    sizes = [abs(c) for _, _, c in entries]
-    return max(sizes), sum(sizes), entries
+    return max(abs(c) for _, _, c in entries), entries
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sym_h1_hodge_poly(g: int, b: int) -> BiPoly:
     """Hodge polynomial of ``S_b``: ``sum_p C(g,p) C(g,b-p) u^p v^(b-p)``.
 
@@ -538,6 +547,9 @@ def sym_h1_hodge_poly(g: int, b: int) -> BiPoly:
     compatible with the reduction rule: for ``g <= b <= 2g`` it equals the
     Hodge polynomial of ``S_(2g-b)`` times ``(uv)^(b-g)``.
     """
+    check_ints(g=g, b=b)
+    if g < 1 or b < 0:
+        raise ValueError(f"genus must be >= 1 and b >= 0, got genus {g} and b {b}")
     return BiPoly(
         {
             (p, b - p): comb(g, p) * comb(g, b - p)

@@ -373,11 +373,11 @@ class TestInputCeilings:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("higgs", "--genus", "21", "--degree", "1"), "genus must be <= 20, got 21"),
-            (("bundles", "--genus", "21", "--degree", "1"), "genus must be <= 20, got 21"),
+            (("higgs", "--genus", "31", "--degree", "1"), "genus must be <= 30, got 31"),
+            (("bundles", "--genus", "31", "--degree", "1"), "genus must be <= 30, got 31"),
             (
-                ("pairs", "--genus", "21", "--e", "3", "--chamber", "1"),
-                "genus must be <= 20, got 21",
+                ("pairs", "--genus", "31", "--e", "3", "--chamber", "1"),
+                "genus must be <= 30, got 31",
             ),
             (
                 ("pairs", "--genus", "2", "--e", "401", "--chamber", "200"),
@@ -402,9 +402,9 @@ class TestInputCeilings:
     @pytest.mark.parametrize(
         "command,stated",
         [
-            ("bundles", "curve genus, at most 20"),
+            ("bundles", "curve genus, at most 30"),
             ("pairs", "pair degree, 2..400"),
-            ("higgs", "curve genus, at most 20"),
+            ("higgs", "curve genus, at most 30"),
             ("verify", "largest genus swept, 2..12"),
         ],
     )

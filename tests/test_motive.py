@@ -97,6 +97,53 @@ class TestSymCurve:
         assert sym_curve(2, 3) == jacobian(2) * projective_space(2, 1)
 
 
+class TestGenusAndIndexAtTheBoundary:
+    """``sym_curve`` and ``sym_h1_hodge_poly`` refuse what ``MotiveClass``
+    refuses, before anything is cached."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: sym_curve(0, 3), "genus must be >= 1, got 0", id="sym_curve-g0"),
+            pytest.param(lambda: sym_curve(-1, 2), "genus must be >= 1, got -1", id="sym_curve-g-1"),
+            pytest.param(lambda: sym_h1_hodge_poly(0, 0), "genus must be >= 1", id="hodge-g0"),
+            pytest.param(lambda: sym_h1_hodge_poly(-1, 1), "genus must be >= 1", id="hodge-g-1"),
+            pytest.param(lambda: sym_h1_hodge_poly(2, -1), "b >= 0, got genus 2 and b -1", id="hodge-b-1"),
+        ],
+    )
+    def test_out_of_range_raises_every_time(self, call, message):
+        for _ in range(2):  # a refused call leaves nothing in the cache
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize(
+        "g, b, name",
+        [
+            pytest.param(True, 1, "g", id="g-bool"),
+            pytest.param(2.0, 1, "g", id="g-float"),
+            pytest.param(1, True, "b", id="b-bool"),
+            pytest.param(2, 1.0, "b", id="b-float"),
+        ],
+    )
+    def test_hodge_poly_names_an_argument_that_is_not_an_int(self, g, b, name):
+        # the equal int calls are cached first; typed=True makes these miss
+        assert sym_h1_hodge_poly(1, 1) and sym_h1_hodge_poly(2, 1)
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            sym_h1_hodge_poly(g, b)
+
+    @pytest.mark.parametrize(
+        "g, b, expected",
+        [
+            pytest.param(1, 0, BiPoly.one(), id="g1-b0"),
+            pytest.param(1, 2, BiPoly({(1, 1): 1}), id="g1-b2"),
+            pytest.param(1, 3, BiPoly.zero(), id="g1-b3"),
+            pytest.param(3, 7, BiPoly.zero(), id="g3-b7"),
+        ],
+    )
+    def test_hodge_poly_at_the_edges_of_the_range(self, g, b, expected):
+        assert sym_h1_hodge_poly(g, b) == expected
+
+
 class TestJacobian:
     def test_genus_one(self):
         assert jacobian(1) == MotiveClass(1, {(): L(1, 1), (1,): IntPoly.one()})

@@ -1,7 +1,7 @@
 """Classes kept as ``jacobian × cofactor``: a product class reads as the
-expanded product everywhere, and its realizations, the packed product of the
-factors' realizations, match the term-by-term references of the expanded
-class."""
+expanded product everywhere, and its realizations, the cofactor's realization
+times the Jacobian's in closed form (any other product realizes its terms),
+match the term-by-term references of the expanded class."""
 
 import operator
 
@@ -66,8 +66,8 @@ class TestRealizations:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 80, 15, 31, 71, 135])
     def test_digits_at_the_edge_of_the_width(self, n):
-        # with a left 1-norm of 1 every digit reaches 2^(w-1) - 1 (on the Hodge
-        # lines where n + 1 is 8, 16, 32, 64 or above 64); with 1 + L the inner
+        # a unit factor leaves every digit at 2^(w-1) - 1 (on the Hodge lines
+        # where n + 1 is 8, 16, 32, 64 or above 64); with 1 + L the inner
         # digits reach the bound 2 (2^n - 1); alternating signs borrow
         big = 2**n - 1
         flat, alternating = IntPoly([big] * 7), IntPoly([big, -big] * 3 + [big])
@@ -129,18 +129,43 @@ class TestTheOperator:
         assert acc == tate(2, 1000)
         assert acc.poincare_polynomial() == IntPoly.monomial(2000)
 
-    def test_realizing_a_product_of_two_plain_classes_expands_nothing(self, monkeypatch):
-        a, b = sym_curve(3, 2), MotiveClass(3, {(): IntPoly([1, -2]), (1, 2): IntPoly([0, 5])})
-        expanded = class_product_reference(a, b)
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_realizing_a_jacobian_product_never_packs_the_jacobian(self, monkeypatch, g):
+        x = MotiveClass(g, {(): IntPoly([1, -2]), (1, 1): IntPoly([0, 5])})
+        products = (jacobian(g) * x, x * jacobian(g))
+        expanded = class_product_reference(jacobian(g), x)
         hodge, poincare = hodge_realization_reference(expanded), poincare_reference(expanded)
+        packed, packed_lines = [], motive_module._packed_lines
 
-        def refuse(pairs):
-            raise AssertionError("sum_of_products was called")
+        def spy(cls, *args):
+            packed.append(cls)
+            return packed_lines(cls, *args)
 
-        monkeypatch.setattr(motive_module, "sum_of_products", refuse)
-        cls = a * b
-        assert cls.hodge_realization() == hodge
-        assert cls.poincare_polynomial() == poincare
+        monkeypatch.setattr(motive_module, "_packed_lines", spy)
+        for cls in products:
+            assert cls.hodge_realization() == hodge
+            assert cls.poincare_polynomial() == poincare
+        assert len(packed) == 4 and all(cls is x for cls in packed)
+
+
+class TestJacobianWidth:
+    """``jacobian(g) * X`` is packed at ``w = _width(4^g * bound(X))``, cast on
+    the Hodge lines; with ``X = ±(2^n - 1) L^k`` alternating,
+    ``n = w - 1 - 2g`` puts ``w`` at 8, 16, 32, 64 and one bit above each
+    (at g = 4, ``w`` starts at 10)."""
+
+    @pytest.mark.parametrize("g, w", [
+        pytest.param(g, w, id=f"g{g}-w{w}")
+        for g in range(1, 5) for w in (8, 9, 16, 17, 32, 33, 64, 65) if w - 1 - 2 * g >= 1
+    ])
+    def test_digits_at_the_edge_of_the_width(self, g, w):
+        big = 2 ** (w - 1 - 2 * g) - 1
+        assert motive_module._width(4**g * big) == w
+        alternating = IntPoly([big, -big] * 3 + [big])
+        for x in (from_tate_poly(g, alternating), from_tate_poly(g, -alternating)):
+            expanded = class_product_reference(jacobian(g), x)
+            assert_realizes_like(jacobian(g) * x, expanded)
+            assert_realizes_like(x * jacobian(g), expanded)
 
 
 def chamber_specs(g):
@@ -165,6 +190,15 @@ def test_every_pair_chamber_by_each_route(g):
             assert cls.hodge_realization() == hodge, (spec, route)
             assert cls.hodge_matrix() == hodge.to_matrix(), (spec, route)
             assert cls.poincare_polynomial() == poincare, (spec, route)
+
+
+@pytest.mark.parametrize("g", [12, 16, 20])
+def test_higgs_and_bundle_classes_against_the_plain_path(g):
+    # the closed-form Jacobian product against the realization of the formed terms
+    for cls in (higgs_motive(HiggsSpec(g, 1)), bundle_motive(BundleSpec(g, 1))):
+        plain = MotiveClass._trusted(g, cls._terms)
+        assert cls.hodge_matrix() == plain.hodge_matrix()
+        assert cls.poincare_polynomial() == plain.poincare_polynomial()
 
 
 @pytest.mark.parametrize("g", range(2, 11))

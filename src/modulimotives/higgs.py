@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
 from .motive import (
-    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, zero
+    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, top_degree, zero
 )
 from .pairs import ChamberSpec, chamber_of, pair_cofactor_flip, pair_dimension
 
@@ -249,24 +249,16 @@ def audit_fixed_loci(spec: HiggsSpec) -> AuditReport:
 
     The dimension is recomputed from the component's own classes as half the
     top degree of P(jacobian * factors), P the Poincare realization: a ring map
-    into the integral domain Z[t], so degrees add and no product is formed.
-    The audit catches both wrong twists and wrong component classes.
+    into the integral domain Z[t], so degrees add, each read off an effective
+    factor's terms (:func:`~modulimotives.motive.top_degree`) with nothing
+    multiplied or realized.  The audit catches wrong twists and wrong classes.
     """
-    half = bundle_dimension(spec.g)
-    jacobian_top = jacobian(spec.g).poincare_polynomial().degree
-    sym_top = lru_cache(maxsize=None)(
-        lambda m: sym_curve(spec.g, m).poincare_polynomial().degree
-    )
+    half, jacobian_degree = bundle_dimension(spec.g), top_degree(jacobian(spec.g))
     rows = []
     for comp in fixed_components(spec):
-        if comp.kind == "(1,1,1)":  # 3g-3 distinct factors, O(g^2) components
-            degrees = map(sym_top, comp.params)
-        else:
-            degrees = (f.poincare_polynomial().degree for f in comp.factors)
-        top = jacobian_top + sum(degrees)
-        recomputed = top // 2
+        top = jacobian_degree + sum(map(top_degree, comp.factors))
         ok = top == 2 * comp.dimension and comp.twist == half - comp.dimension
         rows.append(
-            AuditRow(comp.kind, comp.params, comp.dimension, comp.twist, recomputed, ok)
+            AuditRow(comp.kind, comp.params, comp.dimension, comp.twist, top // 2, ok)
         )
     return AuditReport(spec.g, spec.d, tuple(rows))

@@ -354,11 +354,14 @@ class MotiveClass:
         genus, terms = _json_field(data, "genus"), {}
         if not _is_int(genus):
             raise ValueError(f"genus must be an int, got {genus!r}")
-        for entry in _json_field(data, "terms"):
+        entries = _json_field(data, "terms")
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"terms must be an array, got {entries!r}")
+        for entry in entries:
             mono, coeffs = _json_field(entry, "mono"), _json_field(entry, "coeffs")
             for name, values in (("mono", mono), ("coeffs", coeffs)):
-                if not all(map(_is_int, values)):
-                    raise ValueError(f"{name} must hold ints, got {values!r}")
+                if not isinstance(values, (list, tuple)) or not all(map(_is_int, values)):
+                    raise ValueError(f"{name} must be an array of ints, got {values!r}")
             if tuple(mono) in terms:
                 raise ValueError(f"mono {mono!r} appears twice in terms")
             terms[tuple(mono)] = IntPoly(coeffs)
@@ -436,6 +439,14 @@ def check_effective(cls: MotiveClass, name: str) -> MotiveClass:
     if not cls.is_effective():
         raise ArithmeticError(f"{name} has a negative coefficient")
     return cls
+
+
+def top_degree(cls: MotiveClass) -> int:
+    """The degree of the Poincaré polynomial of ``cls``, which must be
+    effective, read off its terms: the largest ``2·deg(c) + sum(mono)``, -1
+    for zero.  No top term cancels, as every coefficient is >= 0 and every
+    Betti factor ``prod C(2g, b)`` is > 0."""
+    return max((2 * p.degree + sum(m) for m, p in cls._terms.items()), default=-1)
 
 
 # -- constructors of basic classes ------------------------------------------

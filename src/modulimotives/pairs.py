@@ -25,9 +25,10 @@ Jacobian in closed form and is effective as both factors are:
   stratum); the total is nonetheless effective and this is checked.
 
 * :func:`pair_motive_sym` -- a closed form in the ``S_b`` basis with
-  coefficient polynomials :func:`sym_coeff_poly`; when some of those have
-  negative coefficients, pairs of terms are folded across ``b = g`` into the
-  manifestly non-negative :func:`folded_coeff_poly`.
+  coefficient polynomials :func:`sym_coeff_poly`, summed plainly; where some
+  are negative, the reduction rule folds them across ``b = g`` into
+  :func:`folded_coeff_poly`, a verified identity whose non-negativity the
+  cofactor's effectivity check covers.
 
 * :func:`pair_motive_geo` -- a closed form in terms of symmetric powers of
   the curve, its Jacobian and projective spaces only.
@@ -205,28 +206,17 @@ def pair_motive_sym(spec: ChamberSpec) -> MotiveClass:
 
 
 def pair_cofactor_sym(spec: ChamberSpec) -> MotiveClass:
-    """The pair cofactor as a sum of ``S_b`` terms.
-
-    Requires ``i < floor(e/2) <= 2g-3``.  The terms with negative
-    coefficient polynomials (``b`` in ``[g+e-2i, i]``) are folded into the
-    terms with ``b`` in ``[2g-i, g-e+2i]`` via :func:`folded_coeff_poly`; the
-    other ``b <= i`` keep :func:`sym_coeff_poly`.  When ``3i <= e+g-1`` both
-    ranges are empty, every coefficient polynomial is non-negative and this
-    is the plain sum over ``b = 0 .. i``.
-    """
+    """The pair cofactor as the plain sum of ``sym_h1(b) * sym_coeff_poly(b)``
+    over ``b = 0 .. i``; requires ``i < floor(e/2) <= 2g-3``.  The negative
+    terms (``3i > e+g-1``, ``b`` in ``[g+e-2i, i]``) land on ``S_(2g-b)``,
+    whose total is then :func:`folded_coeff_poly` at ``b``: a verified
+    identity, whose non-negativity the cofactor's effectivity check covers."""
     g, e, i = spec.g, spec.e, spec.i
     if not i < e // 2:
         raise HypothesisViolation(f"need i < floor(e/2), got i={i}, e={e}")
     if not e // 2 <= 2 * g - 3:
         raise HypothesisViolation(f"need floor(e/2) <= 2g-3, got e={e}, g={g}")
-    terms = []
-    for b in range(i + 1):
-        if 2 * g - i <= b <= g - e + 2 * i:
-            terms.append((sym_h1(g, b), folded_coeff_poly(g, i, e, 2 * g - b)))
-        elif b < 2 * g - i or abs(b - g) < e - 2 * i:
-            terms.append((sym_h1(g, b), sym_coeff_poly(g, i, e, b)))
-        # remaining b in [g+e-2i, i]: absorbed into the folded terms
-    return _pair_cofactor(spec, terms)
+    return _pair_cofactor(spec, [(sym_h1(g, b), sym_coeff_poly(g, i, e, b)) for b in range(i + 1)])
 
 
 def pair_motive_geo(spec: ChamberSpec) -> MotiveClass:

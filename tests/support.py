@@ -172,9 +172,10 @@ def pair_geo_reference(spec: ChamberSpec) -> MotiveClass:
 
 def pair_sym_reference(spec: ChamberSpec) -> MotiveClass:
     """The ``S_b`` pair class one term at a time (``i < floor(e/2) <= 2g-3``):
-    the plain sum over ``b = 0 .. i`` when ``3i <= e+g-1``, else the folded
-    sum of the :func:`~modulimotives.pairs.pair_motive_sym` docstring, one
-    class-by-polynomial product and one class add per term, then the Jacobian."""
+    the plain sum over ``b = 0 .. i`` when ``3i <= e+g-1``, else the sum with
+    the negative terms folded across ``b = g`` into :func:`folded_coeff_poly`,
+    one class-by-polynomial product and one class add per term, then the
+    Jacobian."""
     g, e, i = spec.g, spec.e, spec.i
     acc = zero(g)
     if 3 * i <= e + g - 1:

@@ -25,6 +25,7 @@ from modulimotives import (
 from modulimotives.bundles import bundle_dimension
 from modulimotives.cli import main
 from modulimotives.higgs import FixedComponent
+from modulimotives.motive import MotiveClass, top_degree
 from golden_diamonds import GENUS2_HIGGS, GENUS3_HIGGS_MOD_JAC
 from support import (
     audit_reference,
@@ -301,6 +302,22 @@ class TestAudit:
         (comp,) = fixed_locus_bundles(HiggsSpec(2, 1))
         assert comp.twist == 0
         assert comp.dimension == 9 * (2 - 1) + 1
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_top_degree_of_every_factor(self, g):
+        for d in (1, 2):
+            for comp in fixed_components(HiggsSpec(g, d)):
+                for f in comp.factors:
+                    assert top_degree(f) == f.poincare_polynomial().degree
+
+    def test_the_audit_realizes_no_class(self, monkeypatch):
+        def refused(self, hodge):
+            raise AssertionError("MotiveClass._realized called")
+
+        monkeypatch.setattr(MotiveClass, "_realized", refused)
+        for g in range(2, 7):
+            for d in (1, 2, -1):
+                assert audit_fixed_loci(HiggsSpec(g, d)).all_pass
 
     @pytest.mark.parametrize("g", range(2, 8))
     def test_factor_degrees_match_the_product_reference(self, g):

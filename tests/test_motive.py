@@ -28,7 +28,7 @@ from modulimotives import (
     unit,
     zero,
 )
-from modulimotives.motive import sum_of_products
+from modulimotives.motive import sum_of_products, top_degree
 from support import (
     class_product_reference,
     classes_strategy,
@@ -369,6 +369,25 @@ class TestDirectPoincare:
         assert (jacobian(3) * sym_curve(3, 4)).poincare_polynomial() == expected
 
 
+class TestTopDegree:
+    """The top degree read off an effective class's terms is the degree of
+    its Poincaré polynomial."""
+
+    @given(st.integers(1, 4).flatmap(classes_strategy))
+    def test_matches_the_poincare_degree(self, cls):
+        effective = MotiveClass(
+            cls.genus, {m: IntPoly([abs(c) for c in p.coeffs]) for m, p in cls.items()}
+        )
+        for x in (effective, zero(cls.genus)):
+            assert top_degree(x) == x.poincare_polynomial().degree
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_zero_class_and_products(self, g):
+        assert top_degree(zero(g)) == -1
+        product = jacobian(g) * sym_curve(g, 3)
+        assert top_degree(product) == 2 * g + 6 == product.poincare_polynomial().degree
+
+
 class TestPackedProduct:
     """The packed class product against the pair-by-pair schoolbook product.
     A product is packed with ``w`` bits per digit, where ``2^(w-1) - 1`` is
@@ -516,6 +535,13 @@ class TestSerialization:
                                        {"mono": [1], "coeffs": [2]}]},
                 "mono",
             ),
+            ({"genus": 2, "terms": 5}, "terms"),
+            ({"genus": 2, "terms": None}, "terms"),
+            ({"genus": 2, "terms": {"mono": [1], "coeffs": [1]}}, "terms"),
+            ({"genus": 2, "terms": [{"mono": 5, "coeffs": [1]}]}, "mono"),
+            ({"genus": 2, "terms": [{"mono": {1: 2}, "coeffs": [1]}]}, "mono"),
+            ({"genus": 2, "terms": [{"mono": [1], "coeffs": 7}]}, "coeffs"),
+            ({"genus": 2, "terms": [{"mono": [1], "coeffs": {0: 1}}]}, "coeffs"),
         ],
     )
     def test_malformed_documents_name_the_bad_field(self, document, field):

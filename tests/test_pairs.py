@@ -26,6 +26,8 @@ from modulimotives import (
     sym_curve,
     tate,
 )
+from modulimotives.cli import main
+from modulimotives.motive import top_degree
 from modulimotives.pairs import pair_cofactor_flip, pair_cofactor_geo, pair_cofactor_sym
 from support import (
     conv,
@@ -35,6 +37,22 @@ from support import (
     pair_sym_reference,
     poincare_reference,
 )
+
+
+FOLDED_CASE = (6, 8, 18, 8)  # (g, i, e, b), the smallest folded term
+
+
+@pytest.fixture
+def negative_folded_total(monkeypatch):
+    """Make ``Q_8`` more negative at :data:`FOLDED_CASE` in the module that
+    :func:`folded_coeff_poly` reads, which drives the folded total negative
+    at ``T^2`` and leaves the sign pattern of ``Q_8`` as it was."""
+    q = pairs_module.sym_coeff_poly
+
+    def lowered(g, i, e, b):
+        return q(g, i, e, b) - IntPoly([int((g, i, e, b) == FOLDED_CASE)])
+
+    monkeypatch.setattr(pairs_module, "sym_coeff_poly", lowered)
 
 
 class TestChambers:
@@ -206,6 +224,18 @@ class TestFoldedCoeffPoly:
         with pytest.raises(HypothesisViolation):
             folded_coeff_poly(2, 1, 3, 1)  # floor(e/2) = 1 is not > i
 
+    def test_a_negative_folded_polynomial_is_a_reported_failure(
+        self, capsys, negative_folded_total
+    ):
+        with pytest.raises(ArithmeticError, match="negative coefficient"):
+            folded_coeff_poly(*FOLDED_CASE)
+        result = verify_module.sweep_positivity(6)
+        assert result.failures == ["g=6, i=8, e=18, b=8: folded polynomial negative"]
+        assert main(["verify", "--suite", "positivity", "--max-genus", "6"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"positivity: FAIL (1/{result.checked} checks failed)")
+        assert "g=6, i=8, e=18, b=8: folded polynomial negative" in out
+
     def test_admissible_tuples_are_nonnegative_small(self):
         for g in range(2, 7):
             for e in range(2, 4 * g - 4):
@@ -238,6 +268,22 @@ class TestClosedFormRoutes:
                 branches.add(3 * i <= e + g - 1)
                 assert pair_motive_sym(spec) == pair_sym_reference(spec)
         assert branches == ({True, False} if g >= 6 else {True})
+
+    def test_sym_sums_plainly_without_the_folded_polynomial(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("folded_coeff_poly called")
+
+        monkeypatch.setattr(pairs_module, "folded_coeff_poly", refused)
+        for g in range(2, 9):
+            for e in range(2, 4 * g - 4):
+                for i in range(e // 2):
+                    pair_cofactor_sym(ChamberSpec(g=g, e=e, i=i))
+
+    def test_a_negative_folded_total_fails_the_effectivity_check(self, negative_folded_total):
+        spec = ChamberSpec(g=6, e=18, i=8)
+        message = re.escape(f"pair class for {spec} has a negative coefficient")
+        with pytest.raises(ArithmeticError, match=message):
+            pair_cofactor_sym(spec)
 
     def test_sym_hypothesis_violations(self):
         with pytest.raises(HypothesisViolation):
@@ -320,6 +366,20 @@ class TestCofactors:
                 flip = jac * pair_cofactor_flip(spec)
                 for route, cofactor in routes:
                     assert route(spec) == jac * cofactor(spec) == flip, (spec, route)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_top_degree_of_every_flip_cofactor(self, g):
+        for e in range(2, 4 * g + 6):
+            for i in range((e - 1) // 2 + 1):
+                flip = pair_cofactor_flip(ChamberSpec(g=g, e=e, i=i))
+                assert top_degree(flip) == flip.poincare_polynomial().degree
+
+    def test_route_agreement_realizes_no_class(self, monkeypatch):
+        def refused(self, hodge):
+            raise AssertionError("MotiveClass._realized called")
+
+        monkeypatch.setattr(MotiveClass, "_realized", refused)
+        assert verify_module.sweep_route_agreement(6).passed
 
     def test_a_perturbed_sym_cofactor_is_a_reported_failure(self, monkeypatch):
         def perturbed(spec):

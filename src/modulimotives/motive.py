@@ -258,7 +258,7 @@ class MotiveClass:
     # -- realizations ------------------------------------------------------
 
     def _realized(self, hodge: bool) -> tuple[dict[int, int], int]:
-        """The Hodge lines, or the Poincaré line ``{0: x}``, as ints at ``2^w``,
+        """The Hodge lines ``d >= 0``, or the Poincaré line ``{0: x}``, as ints at ``2^w``,
         and ``w``; a product with a Jacobian factor packs the other factor and
         applies :func:`_times_jacobian`, any other class packs its terms."""
         g, factors = self._genus, self._factors
@@ -277,10 +277,13 @@ class MotiveClass:
         to its Hodge polynomial (see :func:`sym_h1_hodge_poly`); products of
         generators go to products of those polynomials.
 
-        A monomial's Hodge polynomial is homogeneous of degree ``sum(mono)``,
-        so it has at most one entry ``h`` on each line ``p - q = d`` of the
-        diamond, at ``m = min(p, q)``, and along a line ``L`` acts as ``uv``:
-        a term ``c(L) * mono`` adds ``h * c(uv) * (uv)^m`` to line ``d``.
+        Every class realizes symmetrically, ``h^(p,q) = h^(q,p)``, as swapping
+        ``u`` and ``v`` fixes ``uv`` and each ``sum_p C(g,p) C(g,b-p) u^p
+        v^(b-p)``; so only the lines ``p - q = d >= 0`` of the diamond are
+        formed.  A monomial's Hodge polynomial is homogeneous of degree
+        ``sum(mono)``, so it has at most one entry ``h`` on each line, at ``q``,
+        and along a line ``L`` acts as ``uv``: a term ``c(L) * mono`` adds
+        ``h * c(uv) * (uv)^q`` to line ``d``.
         Each line is one int, its polynomial in ``uv`` at ``2^w`` (Kronecker
         substitution).  An output coefficient sums at most one ``c_k * h``
         per term, so the sum over terms of ``max|c_k| * max|h|`` bounds it, and
@@ -288,29 +291,29 @@ class MotiveClass:
         factor multiplies the other factor's lines by ``(1+u)^g (1+v)^g``
         (:func:`_times_jacobian`), at ``w`` from ``4^g``, the Jacobian's
         coefficient sum, times that factor's bound; any other product realizes
-        its terms.  :meth:`hodge_matrix` places the lines.
+        its terms.  :meth:`hodge_matrix` places each line and its mirror.
         """
         rows = enumerate(self.hodge_matrix())
         return BiPoly._trusted({(p, q): c for p, row in rows for q, c in enumerate(row) if c})
 
     def hodge_matrix(self) -> list[list[int]]:
         """``hodge_realization().to_matrix()``, ``[[0]]`` for the zero class.
-        Line ``d`` starts at ``(p, q) = (d, 0)`` or ``(0, -d)``; without trailing
-        zeros the lines span ``max(p + len)`` rows and ``max(q + len)`` columns,
-        and a line's k-th digit sits at ``(p+k)·cols + q + k`` of the row-major
-        list, so one slice of step ``cols + 1`` places the whole line."""
+        Line ``d >= 0`` starts at ``(d, 0)`` and its mirror at ``(0, d)``; without
+        trailing zeros they span ``n = max(d + len)`` rows and columns, and the
+        k-th digit sits at ``(d+k)·n + k`` of the row-major list and at
+        ``k·n + d + k``, so two slices of step ``n + 1`` place the line."""
         lines, w = self._realized(hodge=True)
-        placed, rows, cols = [], 1, 1
+        placed, n = [], 1
         for d, x in lines.items():
-            p, q = (d, 0) if d > 0 else (0, -d)
             digits = IntPoly._trusted(_unpack(x, w)).coeffs  # no trailing zeros
             if digits:
-                placed.append((p, q, digits))
-                rows, cols = max(rows, p + len(digits)), max(cols, q + len(digits))
-        flat = [0] * (rows * cols)
-        for p, q, digits in placed:
-            flat[p * cols + q : (p + len(digits)) * cols + q + len(digits) : cols + 1] = digits
-        return [flat[r : r + cols] for r in range(0, rows * cols, cols)]
+                placed.append((d, digits))
+                n = max(n, d + len(digits))
+        flat = [0] * (n * n)
+        for d, digits in placed:
+            span = len(digits) * (n + 1)
+            flat[d * n : d * n + span : n + 1] = flat[d : d + span : n + 1] = digits
+        return [flat[r : r + n] for r in range(0, n * n, n)]
 
     def poincare_polynomial(self) -> IntPoly:
         """Poincaré polynomial: the Hodge realization specialized by
@@ -388,20 +391,26 @@ def _packed_lines(cls: MotiveClass, table, step: int, w: int) -> dict[int, int]:
 
 def _times_jacobian(lines: dict[int, int], g: int, w: int, hodge: bool) -> dict[int, int]:
     """``lines`` times the Jacobian: the Poincaré line times ``(1+t)^(2g)`` at
-    ``t = 2^w``, the Hodge lines times ``(1+u)^g`` and then ``(1+v)^g``.  ``u``
-    takes line ``d`` to ``d + 1``, ``v`` to ``d - 1``, and a step starting on
-    the far side of line 0 also raises ``min(p, q)``: one digit along."""
+    ``t = 2^w``, the Hodge lines ``d >= 0`` times ``(1+u)^g``, reading line
+    ``-d`` as line ``d``, and then ``(1+v)^g``.  ``u^k`` takes line ``d`` to
+    ``d + k``, line ``-d`` to ``k - d``, ``d`` digits along, and ``v^l`` takes
+    line ``d`` to ``d - l``, ``l`` digits along; no line below 0 is formed."""
     if not hodge:
         return {0: lines.get(0, 0) * (1 + (1 << w)) ** (2 * g)}
     binomials = [comb(g, k) for k in range(g + 1)]
-    for sign in (1, -1):
-        out: dict[int, int] = {}
-        for d, x in lines.items():
-            for c in binomials:
-                out[d] = out.get(d, 0) + c * x
-                x, d = (x << w if sign * d < 0 else x), d + sign
-        lines = out
-    return lines
+    mid: dict[int, int] = {}
+    for d, x in lines.items():
+        mirrored = x << (w * d)
+        for k, c in enumerate(binomials):
+            mid[d + k] = mid.get(d + k, 0) + c * x
+            if 0 < d <= k:
+                mid[k - d] = mid.get(k - d, 0) + c * mirrored
+    out: dict[int, int] = {}
+    for d, x in mid.items():
+        for c in binomials[: d + 1]:
+            out[d] = out.get(d, 0) + c * x
+            x, d = x << w, d - 1
+    return out
 
 
 def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass:
@@ -426,7 +435,7 @@ def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass
         for m1, p1 in a._terms.items():
             x1 = _pack(p1.coeffs, w)
             for m2, x2 in packed:
-                mono = tuple(sorted(m1 + m2))
+                mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
                 sums[mono] = sums.get(mono, 0) + x1 * x2
     return MotiveClass._trusted(
         g, {m: IntPoly._trusted(_unpack(x, w)) for m, x in sums.items()}
@@ -477,19 +486,19 @@ def sym_h1(g: int, b: int) -> MotiveClass:
     """Normal form of the generator ``S_b`` for any b >= 0.
 
     ``S_0 = 1``; for ``b <= g`` the generator itself; for ``g < b <= 2g``
-    the reduction ``S_(2g-b) * L^(b-g)``; zero for ``b > 2g``.
+    the reduction ``S_(2g-b) * L^(b-g)``; zero for ``b > 2g``.  Checks
+    ``(g, b)`` as :class:`MotiveClass` would and builds the class unchecked.
     """
     check_ints(b=b)
     if b < 0:
         raise ValueError(f"negative symmetric-power index {b}")
+    check_ints(genus=g)
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     if b > 2 * g:
-        return zero(g)
-    if b > g:
-        twist, b = b - g, 2 * g - b
-    else:
-        twist = 0
-    mono: SymMonomial = () if b == 0 else (b,)
-    return MotiveClass(g, {mono: IntPoly.monomial(twist)})
+        return MotiveClass._trusted(g, {})
+    twist, b = (b - g, 2 * g - b) if b > g else (0, b)
+    return MotiveClass._trusted(g, {(b,) if b else (): IntPoly.monomial(twist)})
 
 
 @lru_cache(maxsize=None, typed=True)  # so sym_curve(g, True) misses and is checked
@@ -542,11 +551,11 @@ def _monomial_betti(g: int, mono: SymMonomial) -> tuple[int, tuple]:
 @lru_cache(maxsize=None)
 def _monomial_hodge_lines(g: int, mono: SymMonomial) -> tuple[int, tuple]:
     """Hodge polynomial of a product of generators: the largest of its
-    |coefficients|, and its ``(p - q, min(p, q), h)`` entries, one a line."""
+    |coefficients|, and its ``(p - q, q, h)`` entries with ``p >= q``, one a line."""
     h = BiPoly.one()
     for b in mono:
         h = h * sym_h1_hodge_poly(g, b)
-    entries = tuple((p - q, min(p, q), c) for (p, q), c in h.items())
+    entries = tuple((p - q, q, c) for (p, q), c in h.items() if p >= q)
     return max(abs(c) for _, _, c in entries), entries
 
 

@@ -25,8 +25,8 @@ Jacobian in closed form and is effective as both factors are:
   stratum); the total is nonetheless effective and this is checked.
 
 * :func:`pair_motive_sym` -- a closed form in the ``S_b`` basis with
-  coefficient polynomials :func:`sym_coeff_poly`, summed plainly; where some
-  are negative, the reduction rule folds them across ``b = g`` into
+  coefficient polynomials :func:`sym_coeff_poly` (built without division),
+  summed plainly; where some are negative, the reduction rule folds them across ``b = g`` into
   :func:`folded_coeff_poly`, a verified identity whose non-negativity the
   cofactor's effectivity check covers.
 
@@ -48,7 +48,7 @@ from .motive import (
     MotiveClass, UsageError, check_effective, check_ints, jacobian, sum_of_products,
     sym_curve, sym_h1,
 )
-from .polyring import IntPoly, exact_div
+from .polyring import IntPoly
 
 
 class InvalidChamber(UsageError):
@@ -147,19 +147,14 @@ def pair_motive_flip(spec: ChamberSpec) -> MotiveClass:
     return jacobian(spec.g) * pair_cofactor_flip(spec)
 
 
-# (1 - T)^2 (1 - T^2), the common denominator of the coefficient polynomials
-_DENOMINATOR = (
-    (IntPoly.one() - IntPoly.variable()) ** 2 * (IntPoly.one() - IntPoly.monomial(2))
-)
-
-
 def sym_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
     """Coefficient polynomial of ``S_b`` in the pair class, as a polynomial.
 
-    Equals ``(T^b - T^n) (1 - T^a) (1 - T^(a+1))``, summed from its eight
-    signed monomials (``n = e+g-1-2i``, ``a = i-b+1``), divided exactly by
-    ``(1-T)^2 (1-T^2)``.  Requires ``0 <= b <= i < e/2`` and ``g >= 2``; the
-    quotient has non-negative coefficients exactly when ``b <= n``.
+    The quotient ``(T^b - T^n) (1 - T^a) (1 - T^(a+1)) / ((1-T)^2 (1-T^2))``
+    (``n = e+g-1-2i``, ``a = i-b+1``) is ``T^b [n-b]_T``, or ``-T^n [b-n]_T``,
+    times ``[a+1 choose 2]_T``, whose ``T^k`` coefficient is ``min(k, 2a-2-k)
+    // 2 + 1``: a running sum over a window of ``|n-b|`` of those, undivided.
+    Requires ``0 <= b <= i < e/2`` and ``g >= 2``; non-negative iff ``b <= n``.
     """
     check_ints(g=g, i=i, e=e, b=b)
     if g < 2:
@@ -169,11 +164,13 @@ def sym_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
     if not 2 * i < e:
         raise HypothesisViolation(f"need i < e/2, got i={i}, e={e}")
     n, a = e + g - 1 - 2 * i, i - b + 1
-    num = [0] * (max(b, n) + 2 * a + 2)
-    for k, s in ((b, 1), (n, -1)):  # (T^b - T^n)(1 - T^a - T^(a+1) + T^(2a+1))
-        for j, t in ((0, 1), (a, -1), (a + 1, -1), (2 * a + 1, 1)):
-            num[k + j] += s * t
-    return exact_div(IntPoly._trusted(num), _DENOMINATOR)
+    sign, window = (1, n - b) if b <= n else (-1, b - n)
+    gauss = [min(k, 2 * a - 2 - k) // 2 + 1 for k in range(2 * a - 1)] + [0] * window
+    coeffs, run = [0] * min(b, n), 0
+    for k in range(len(gauss) - 1):  # gauss[k - window] is a padding 0 while k < window
+        run += gauss[k] - gauss[k - window]
+        coeffs.append(sign * run)
+    return IntPoly._trusted(coeffs)
 
 
 def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:

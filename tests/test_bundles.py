@@ -128,9 +128,11 @@ class TestStructure:
 class TestRealization:
     @pytest.mark.parametrize("g", range(2, 6))
     def test_poincare_duality_fixed_determinant(self, g):
-        h = bundle_motive_fixed_det(BundleSpec(g, 1)).hodge_realization()
-        dim = bundle_dimension_fixed_det(g)
-        assert h.is_symmetric()
+        cls = bundle_motive_fixed_det(BundleSpec(g, 1))
+        h, dim = cls.hodge_realization(), bundle_dimension_fixed_det(g)
+        expected = hodge_realization_reference(cls)  # both halves, term by term
+        assert expected.is_symmetric()
+        assert h == expected
         for (p, q), c in h.items():
             assert h.coefficient(dim - p, dim - q) == c
 

@@ -1,7 +1,9 @@
 """The pair query path without per-entry Python loops, each fast path against
-a kept reference: the Hodge matrix placed line by line, signed digits decoded
-from bytes, and the coefficient polynomials built from their few terms."""
+a kept reference: the Hodge matrix placed line by line from half its lines,
+signed digits decoded from bytes, and the coefficient polynomials built in
+closed form."""
 
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modulimotives import (
+    BiPoly,
     ChamberSpec,
     IntPoly,
     MotiveClass,
@@ -16,11 +19,12 @@ from modulimotives import (
     pair_motive_flip,
     sym_coeff_poly,
     sym_curve,
+    sym_h1_hodge_poly,
     unit,
     zero,
 )
 import modulimotives.motive as motive_module
-from modulimotives.motive import _pack, _unpack, _width
+from modulimotives.motive import _monomial_hodge_lines, _pack, _unpack, _width
 from modulimotives.pairs import pair_cofactor_flip
 from support import (
     classes_strategy,
@@ -175,7 +179,7 @@ class TestDigits:
 
 
 class TestSymCoeffPoly:
-    """The sparse numerator against the product form."""
+    """The closed form against the product form, divided exactly."""
 
     @pytest.mark.parametrize("g", [pytest.param(g, id=f"g{g}") for g in range(2, 10)])
     def test_every_admissible_index(self, g):
@@ -183,3 +187,74 @@ class TestSymCoeffPoly:
             for i in range((e - 1) // 2 + 1):
                 for b in range(i + 1):
                     assert sym_coeff_poly(g, i, e, b) == sym_coeff_reference(g, i, e, b)
+
+    @pytest.mark.parametrize(
+        "offset", [pytest.param(k, id=f"n=b{k:+d}") for k in (-1, 0, 1)]
+    )
+    def test_at_the_edges_of_the_sign_change(self, offset):
+        # n = e+g-1-2i against b: one-term negative block, zero, one-term block
+        seen = 0
+        for g in range(2, 10):
+            for e in range(1, 4 * g + 3):
+                for i in range((e - 1) // 2 + 1):
+                    b = e + g - 1 - 2 * i - offset
+                    if 0 <= b <= i:
+                        q = sym_coeff_poly(g, i, e, b)
+                        assert q == sym_coeff_reference(g, i, e, b)
+                        assert q.is_zero() == (offset == 0)
+                        seen += 1
+        assert seen > 20
+
+
+def monomials(g):
+    for k in range(4):
+        yield from combinations_with_replacement(range(1, g + 1), k)
+
+
+class TestHalfTheLines:
+    """Only the lines ``p - q = d >= 0`` are formed; every class realizes
+    symmetrically, and the mirror rebuilds the rest."""
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=f"g{g}") for g in range(1, 5)])
+    def test_monomial_lines_mirror_to_the_hodge_polynomial(self, g):
+        for mono in monomials(g):
+            bound, entries = _monomial_hodge_lines(g, mono)
+            expected = BiPoly.one()
+            for b in mono:
+                expected = expected * sym_h1_hodge_poly(g, b)
+            assert all(d >= 0 for d, _, _ in entries)
+            assert len({d for d, _, _ in entries}) == len(entries)  # one entry a line
+            mirrored = {}
+            for d, q, h in entries:
+                mirrored[q + d, q] = mirrored[q, q + d] = h
+            assert BiPoly(mirrored) == expected
+            assert bound == max(abs(c) for _, c in expected.items())
+
+    @given(st.integers(1, 4).flatmap(classes_strategy))
+    def test_jacobian_products_on_either_side(self, x):
+        jac = jacobian(x.genus)
+        for cls in (jac * x, x * jac):
+            expected = hodge_realization_reference(cls)
+            assert cls.hodge_realization() == expected
+            assert cls.hodge_matrix() == expected.to_matrix()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: zero(3), id="zero"),
+            pytest.param(lambda: cancelling_class(IntPoly([3, -(2**80), 5])), id="lines-cancel"),
+            pytest.param(
+                lambda: pair_cofactor_flip(ChamberSpec(4, 11, 5))
+                - pair_cofactor_flip(ChamberSpec(4, 11, 2)),
+                id="top-rows-cancel",
+            ),
+            pytest.param(lambda: MotiveClass(1, {(1,): IntPoly([2**80, -(2**80)])}), id="g1"),
+        ],
+    )
+    def test_jacobian_products_of_edge_classes(self, make):
+        x = make()
+        jac = jacobian(x.genus)
+        for cls in (jac * x, x * jac):
+            expected = hodge_realization_reference(cls)
+            assert cls.hodge_realization() == expected
+            assert cls.hodge_matrix() == expected.to_matrix()

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -63,6 +64,28 @@ class TestSymH1Reduction:
 
     def test_index_zero_is_unit(self):
         assert sym_h1(4, 0) == unit(4)
+
+    @pytest.mark.parametrize(
+        "g, b, error, message",
+        [
+            pytest.param(True, 1, TypeError, "genus must be an int, got True", id="bool-genus"),
+            pytest.param(2.0, 1, TypeError, "genus must be an int, got 2.0", id="float-genus"),
+            pytest.param(0, 1, ValueError, "genus must be >= 1, got 0", id="genus-0"),
+            pytest.param(0, 3, ValueError, "genus must be >= 1, got 0", id="genus-0-above-2g"),
+            pytest.param(2, True, TypeError, "b must be an int, got True", id="bool-b"),
+            pytest.param(2, 1.0, TypeError, "b must be an int, got 1.0", id="float-b"),
+            pytest.param(0, -1, ValueError, "negative symmetric-power index -1", id="b-first"),
+        ],
+    )
+    def test_checks_its_arguments_as_the_constructor_does(self, g, b, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sym_h1(g, b)
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_unchecked_build_equals_the_public_constructor(self, g):
+        for b in range(2 * g + 3):
+            cls = sym_h1(g, b)
+            assert cls == MotiveClass(g, cls.as_dict())
 
 
 class TestSymCurve:

@@ -285,6 +285,44 @@ class TestClosedFormRoutes:
         with pytest.raises(ArithmeticError, match=message):
             pair_cofactor_sym(spec)
 
+    def test_a_negative_route_is_a_reported_failure(self, capsys, negative_folded_total):
+        spec = ChamberSpec(g=6, e=18, i=8)
+        result = verify_module.sweep_route_agreement(6)
+        assert result.failures == [
+            f"{spec}: symmetric-power basis form fails: "
+            f"pair class for {spec} has a negative coefficient"
+        ]
+        assert main(["verify", "--suite", "identities", "--max-genus", "6"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"route-agreement: FAIL (1/{result.checked} checks failed)")
+        assert f"{spec}: symmetric-power basis form fails" in out
+
+    def test_a_negative_flip_cofactor_is_a_reported_failure(self, monkeypatch):
+        spec = ChamberSpec(g=3, e=4, i=1)
+
+        def refused(s):
+            raise ArithmeticError(f"pair class for {s} has a negative coefficient")
+
+        flip = verify_module.pair_cofactor_flip
+        monkeypatch.setattr(
+            verify_module, "pair_cofactor_flip", lambda s: refused(s) if s == spec else flip(s)
+        )
+        result = verify_module.sweep_route_agreement(3)
+        assert result.failures == [
+            f"{spec}: wall-crossing fails: pair class for {spec} has a negative coefficient"
+        ]
+
+    def test_a_closed_form_off_the_division_fails_positivity(self, monkeypatch):
+        q = verify_module.sym_coeff_poly
+        monkeypatch.setattr(
+            verify_module,
+            "sym_coeff_poly",
+            lambda g, i, e, b: q(g, i, e, b) + IntPoly([int((g, i, e, b) == (4, 3, 9, 1))]),
+        )
+        assert verify_module.sweep_positivity(4).failures == [
+            "g=4, i=3, e=9, b=1: wrong sign pattern or routes differ"
+        ]
+
     def test_sym_hypothesis_violations(self):
         with pytest.raises(HypothesisViolation):
             pair_motive_sym(ChamberSpec(g=2, e=3, i=1))  # i = floor(e/2)
@@ -402,5 +440,9 @@ class TestCofactors:
 class TestHodgeSymmetry:
     @pytest.mark.parametrize("g,e,i", [(2, 3, 1), (3, 7, 3), (4, 11, 5)])
     def test_realization_is_symmetric(self, g, e, i):
-        h = pair_motive_flip(ChamberSpec(g=g, e=e, i=i)).hodge_realization()
-        assert h.is_symmetric()
+        # the realization mirrors half the diamond, so it is symmetric by
+        # construction; the term-by-term reference forms both halves
+        cls = pair_motive_flip(ChamberSpec(g=g, e=e, i=i))
+        expected = hodge_realization_reference(cls)
+        assert expected.is_symmetric()
+        assert cls.hodge_realization() == expected

@@ -39,22 +39,24 @@ from .verify import SUITES, run_suite
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
 # Ceilings on the inputs whose cost grows without bound.  On a busy 2-vCPU host
-# (median of 7) the costliest query inside each took: at genus 30, ``higgs`` 1.5 s
-# as class-json, 1.4 s as diamond-json, 1.2 s with --mod-jac, ``bundles`` 0.8 s,
-# ``pairs`` 0.4 s at e = 400, chamber 199; ``verify --suite all`` 3.2 s at 12.
+# (best of 7) the costliest query inside each took: at genus 30, ``higgs`` 1.6 s
+# as class-json, 1.1 s as diamond-json, 1.0 s with --mod-jac, ``bundles`` 0.6 s,
+# ``pairs`` 0.35 s at e = 400, chamber 199; ``verify --suite all`` 1.7 s at 12.
 MAX_GENUS = 30
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 12
 
 
 def render_class(cls: MotiveClass, fmt: str) -> str:
+    """``cls`` in ``fmt``; diamond-text rows use one ``%d`` format, as ``"%d" % c == str(c)``."""
     if fmt == "class-json":
         return json.dumps(cls.to_json_dict())
     if fmt == "poincare":
         return cls.poincare_polynomial().to_str("t")
     matrix = cls.hodge_matrix()
     if fmt == "diamond-text":
-        return "\n".join(" ".join(str(c) for c in row) for row in matrix)
+        row_format = " ".join(["%d"] * len(matrix))
+        return "\n".join([row_format % tuple(row) for row in matrix])
     if fmt == "diamond-json":
         return json.dumps(
             {"genus": cls.genus, "rows_are_p": True, "matrix": matrix}

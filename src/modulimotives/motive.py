@@ -80,7 +80,10 @@ def _validated_terms(
 
 
 def _pack(coeffs: tuple[int, ...], w: int) -> int:
-    """The polynomial ``coeffs`` evaluated at ``2^w``."""
+    """``coeffs`` at ``2^w``, long ones as ``lo + (hi << w·h)`` of halves: a shift-add copies."""
+    if len(coeffs) > 32:
+        h = len(coeffs) // 2
+        return _pack(coeffs[:h], w) + (_pack(coeffs[h:], w) << (w * h))
     packed = 0
     for c in reversed(coeffs):
         packed = (packed << w) + c
@@ -90,31 +93,39 @@ def _pack(coeffs: tuple[int, ...], w: int) -> int:
 def _width(bound: int, cast: bool = False) -> int:
     """Bits per signed digit of absolute value at most ``bound``: one more than
     ``bound`` needs, and with ``cast`` at least 8, 16, 32 or 64, the C ints
-    :func:`_unpack` casts to (worth it on the many-digit Hodge lines only)."""
+    :func:`_unpack_rows` casts to (for the Hodge lines and Jacobian expansions)."""
     w = bound.bit_length() + 1
     return next((s for s in (8, 16, 32, 64) if cast and w <= s), w)
 
 
-def _unpack(x: int, w: int) -> list[int]:
-    """The signed base-``2^w`` digits of ``x``, lowest first: the inverse of
-    :func:`_pack` for digits of absolute value below ``2^(w-1)``.  Of ``n``
-    such digits the top one outweighs the others, so ``|x| > 2^(w(n-1) - 1)``
-    and ``n <= |x|.bit_length() // w + 1``; the list may end in zeros.  At a
-    C-int ``w`` a ``bias`` of ``2^(w-1)`` per slot lifts each digit ``c`` into
-    ``[0, 2^w)`` without carries, XOR with it leaves ``c``'s two's complement,
-    and one cast of the bytes reads them all."""
-    n = abs(x).bit_length() // w + 1
+def _unpack_rows(xs: list[int], w: int) -> list[list[int]]:
+    """Each ``x`` in ``xs`` as the signed base-``2^w`` digits, below ``2^(w-1)`` in
+    absolute value and lowest first, that :func:`_pack` took; the top one outweighs
+    the rest, so ``|x|.bit_length() // w + 1`` digits (maybe ending in zeros) hold
+    them.  At a C-int ``w``, adding and XORing ``2^(w-1)`` a slot leaves the digits'
+    two's complements, and one cast reads the bytes of all rows."""
+    counts = [abs(x).bit_length() // w + 1 for x in xs]
     if w in (8, 16, 32, 64) and sys.byteorder == "little":  # the layout the cast reads
+        n = max(counts, default=1)
         bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
-        data = ((x + bias) ^ bias).to_bytes(n * w // 8, "little")
-        return memoryview(data).cast({8: "b", 16: "h", 32: "i", 64: "q"}[w]).tolist()
-    half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
-    for _ in range(n):  # peel off the lowest digit
-        c, x = x & mask, x >> w
-        if c >= half:
-            c, x = c - mask - 1, x + 1
-        digits.append(c)
-    return digits
+        data = b"".join([((x + bias) ^ bias).to_bytes(n * w // 8, "little") for x in xs])
+        flat = memoryview(data).cast({8: "b", 16: "h", 32: "i", 64: "q"}[w]).tolist()
+        return [flat[k : k + c] for k, c in zip(range(0, len(flat), n), counts)]
+    half, mask, rows = 1 << (w - 1), (1 << w) - 1, []
+    for x, n in zip(xs, counts):
+        digits = []
+        for _ in range(n):  # peel off the lowest digit
+            c, x = x & mask, x >> w
+            if c >= half:
+                c, x = c - mask - 1, x + 1
+            digits.append(c)
+        rows.append(digits)
+    return rows
+
+
+def _unpack(x: int, w: int) -> list[int]:
+    """The signed base-``2^w`` digits of ``x``, one row of :func:`_unpack_rows`."""
+    return _unpack_rows([x], w)[0]
 
 
 class MotiveClass:
@@ -144,12 +155,21 @@ class MotiveClass:
         return obj
 
     def __getattr__(self, name: str) -> object:  # only for an unset slot
-        if name == "_factors":  # a class that is no product is its one factor
+        """A non-product is its one factor; a product forms its terms when first read."""
+        if name == "_factors":
             return (self,)
         if name != "_terms":
             raise AttributeError(name)
-        object.__setattr__(self, "_terms", sum_of_products([self._factors])._terms)
-        return self._terms
+        x = self._jacobian_cofactor()
+        terms = sum_of_products([self._factors])._terms if x is None else _jacobian_terms(x)
+        object.__setattr__(self, "_terms", terms)
+        return terms
+
+    def _jacobian_cofactor(self) -> "MotiveClass | None":
+        """The other factor of a product with a Jacobian factor, else None."""
+        factors, jac = self._factors, jacobian(self._genus)
+        if len(factors) == 2 and jac in factors:
+            return factors[1] if factors[0] == jac else factors[0]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MotiveClass is immutable")
@@ -223,11 +243,10 @@ class MotiveClass:
     def __mul__(self, other: "MotiveClass | IntPoly | int") -> "MotiveClass":
         """Product with a class, or with a polynomial in ``L`` or an int.
 
-        Class by class the product keeps its two factors: its terms are formed
-        on first read, with one :func:`sum_of_products`.  A Jacobian factor is
-        realized in closed form (:func:`_times_jacobian`); any other product
-        realizes its terms.  A product operand enters as its formed terms, so
-        products never nest and no chain keeps its history.
+        Class by class the product keeps its two factors and forms its terms on
+        first read: with a Jacobian factor in closed form (:func:`_jacobian_terms`),
+        else by :func:`sum_of_products`.  A product operand enters as its formed
+        terms, so products never nest and no chain keeps its history.
         """
         if isinstance(other, IntPoly) or _is_int(other):
             return MotiveClass._trusted(
@@ -259,16 +278,18 @@ class MotiveClass:
 
     def _realized(self, hodge: bool) -> tuple[dict[int, int], int]:
         """The Hodge lines ``d >= 0``, or the Poincaré line ``{0: x}``, as ints at ``2^w``,
-        and ``w``; a product with a Jacobian factor packs the other factor and
-        applies :func:`_times_jacobian`, any other class packs its terms."""
-        g, factors = self._genus, self._factors
-        table = _monomial_hodge_lines if hodge else _monomial_betti
-        jac = len(factors) == 2 and jacobian(g) in factors
-        x = (factors[1] if factors[0] == jacobian(g) else factors[0]) if jac else self
+        and ``w``.  An output digit sums at most one ``c_k * h`` a term (``h`` a
+        monomial's Hodge number or ``betti``), so ``w`` is the :func:`_width`, cast
+        on the Hodge lines, of the sum of ``max|c_k| * max|h|``, times ``4^g`` (the
+        Jacobian's coefficient sum) where a Jacobian factor is applied in closed
+        form to the other factor's lines (:func:`_times_jacobian`)."""
+        g, table = self._genus, _monomial_hodge_lines if hodge else _monomial_betti
+        cofactor = self._jacobian_cofactor()
+        x = self if cofactor is None else cofactor
         bound = sum(max(map(abs, p.coeffs)) * table(g, m)[0] for m, p in x._terms.items())
-        w = _width(4**g * bound if jac else bound, cast=hodge)
+        w = _width(bound if cofactor is None else 4**g * bound, cast=hodge)
         lines = _packed_lines(x, table, 1 if hodge else 2, w)
-        return (_times_jacobian(lines, g, w, hodge) if jac else lines), w
+        return (lines if cofactor is None else _times_jacobian(lines, g, w, hodge)), w
 
     def hodge_realization(self) -> BiPoly:
         """Hodge polynomial: the coefficient of ``u^p v^q`` is ``h^(p,q)``.
@@ -284,14 +305,8 @@ class MotiveClass:
         ``sum(mono)``, so it has at most one entry ``h`` on each line, at ``q``,
         and along a line ``L`` acts as ``uv``: a term ``c(L) * mono`` adds
         ``h * c(uv) * (uv)^q`` to line ``d``.
-        Each line is one int, its polynomial in ``uv`` at ``2^w`` (Kronecker
-        substitution).  An output coefficient sums at most one ``c_k * h``
-        per term, so the sum over terms of ``max|c_k| * max|h|`` bounds it, and
-        ``w`` is :func:`_width` of that bound, cast.  A product with a Jacobian
-        factor multiplies the other factor's lines by ``(1+u)^g (1+v)^g``
-        (:func:`_times_jacobian`), at ``w`` from ``4^g``, the Jacobian's
-        coefficient sum, times that factor's bound; any other product realizes
-        its terms.  :meth:`hodge_matrix` places each line and its mirror.
+        Each line is one int, its polynomial in ``uv`` at ``2^w`` (see
+        :meth:`_realized`); :meth:`hodge_matrix` places it and its mirror.
         """
         rows = enumerate(self.hodge_matrix())
         return BiPoly._trusted({(p, q): c for p, row in rows for q, c in enumerate(row) if c})
@@ -304,8 +319,8 @@ class MotiveClass:
         ``k·n + d + k``, so two slices of step ``n + 1`` place the line."""
         lines, w = self._realized(hodge=True)
         placed, n = [], 1
-        for d, x in lines.items():
-            digits = IntPoly._trusted(_unpack(x, w)).coeffs  # no trailing zeros
+        for d, row in zip(lines, _unpack_rows(list(lines.values()), w)):
+            digits = IntPoly._trusted(row).coeffs  # no trailing zeros
             if digits:
                 placed.append((d, digits))
                 n = max(n, d + len(digits))
@@ -325,11 +340,7 @@ class MotiveClass:
         t^deg`` with ``betti`` the product of ``C(2g, b)`` over the monomial
         and ``deg`` its index sum.  The whole sum is one int, the polynomial
         at ``2^w`` (Kronecker substitution; ``c(t^2)`` is ``c`` packed at
-        ``2^(2w)``).  An output coefficient sums at most one ``c_k * betti``
-        per term, so the sum over terms of ``max|c_k| * betti`` bounds it, and
-        ``w`` is :func:`_width` of that bound.  A Jacobian factor multiplies
-        the other factor's sum by ``(1+t)^(2g)``, at ``w`` from ``4^g`` times
-        its bound; any other product realizes its terms.
+        ``2^(2w)``; see :meth:`_realized`).
         """
         lines, w = self._realized(hodge=False)
         return IntPoly._trusted(_unpack(lines.get(0, 0), w))
@@ -437,9 +448,25 @@ def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass
             for m2, x2 in packed:
                 mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
                 sums[mono] = sums.get(mono, 0) + x1 * x2
-    return MotiveClass._trusted(
-        g, {m: IntPoly._trusted(_unpack(x, w)) for m, x in sums.items()}
-    )
+    rows = _unpack_rows(list(sums.values()), w)
+    return MotiveClass._trusted(g, {m: IntPoly._trusted(r) for m, r in zip(sums, rows)})
+
+
+def _jacobian_terms(x: MotiveClass) -> dict[SymMonomial, IntPoly]:
+    """The terms of ``jacobian(g) * x`` by the closed form of :func:`jacobian`, with
+    no product: each term ``c·m`` of ``x``, packed once as ``y``, adds ``y`` (b = g)
+    or ``y + (y << w·(g-b))`` to ``m·S_b``.  An output digit sums at most two of
+    each ``c``, so ``w`` is the cast :func:`_width` of ``sum of ||c||_1``."""
+    g, sums = x._genus, {}
+    w = _width(sum(sum(map(abs, p.coeffs)) for p in x._terms.values()), cast=True)
+    for m, p in x._terms.items():
+        packed = _pack(p.coeffs, w)
+        for b in range(g + 1):
+            mono = tuple(sorted(m + (b,))) if b else m
+            y = packed if b == g else packed + (packed << (w * (g - b)))
+            sums[mono] = sums.get(mono, 0) + y
+    rows = _unpack_rows(list(sums.values()), w)
+    return {m: p for m, r in zip(sums, rows) if (p := IntPoly._trusted(r))}
 
 
 def check_effective(cls: MotiveClass, name: str) -> MotiveClass:
@@ -526,7 +553,8 @@ def sym_curve(g: int, j: int) -> MotiveClass:
 
 @lru_cache(maxsize=None)
 def jacobian(g: int) -> MotiveClass:
-    """Class of the Jacobian: the sum of all ``S_b`` for 0 <= b <= 2g."""
+    """Class of the Jacobian: the sum of all ``S_b`` for 0 <= b <= 2g, in
+    normal form ``S_g + sum over b < g of S_b * (1 + L^(g-b))`` (``S_0 = 1``)."""
     acc = zero(g)
     for b in range(2 * g + 1):
         acc = acc + sym_h1(g, b)

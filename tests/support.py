@@ -231,6 +231,19 @@ def unpack_reference(x: int, w: int) -> list[int]:
     return digits
 
 
+def pack_reference(coeffs: list[int], w: int) -> int:
+    """The polynomial ``coeffs`` at ``2^w``, one shift-add per coefficient."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << w) + c
+    return packed
+
+
+def diamond_text_reference(matrix: list[list[int]]) -> str:
+    """The ``diamond-text`` rendering of a Hodge matrix, one ``str`` per entry."""
+    return "\n".join(" ".join(str(c) for c in row) for row in matrix)
+
+
 def sym_coeff_reference(g: int, i: int, e: int, b: int) -> IntPoly:
     """The coefficient polynomial of ``S_b`` in the pair class in product
     form: ``(T^b - T^(e+g-1-2i)) (1 - T^(i-b+1)) (1 - T^(i-b+2))`` as a

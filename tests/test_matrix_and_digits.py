@@ -20,15 +20,19 @@ from modulimotives import (
     sym_coeff_poly,
     sym_curve,
     sym_h1_hodge_poly,
+    tate,
     unit,
     zero,
 )
 import modulimotives.motive as motive_module
-from modulimotives.motive import _monomial_hodge_lines, _pack, _unpack, _width
+from modulimotives.cli import render_class
+from modulimotives.motive import _monomial_hodge_lines, _pack, _unpack, _unpack_rows, _width
 from modulimotives.pairs import pair_cofactor_flip
 from support import (
     classes_strategy,
+    diamond_text_reference,
     hodge_realization_reference,
+    pack_reference,
     sym_coeff_reference,
     unpack_reference,
 )
@@ -176,6 +180,98 @@ class TestDigits:
         x = _pack(tuple(digits), w)
         assert _unpack(x, w) == unpack_reference(x, w)
         assert stripped(_unpack(x, w)) == stripped(digits)
+
+
+ROW_WIDTHS = (8, 16, 32, 64, 9, 17, 65)
+
+
+def row_widths():
+    return [pytest.param(w, id=f"w{w}") for w in ROW_WIDTHS]
+
+
+class TestRows:
+    """``_unpack_rows`` decodes a list of ints in one call: each row equals
+    the reference loop's digits of its int, whatever the other rows hold."""
+
+    def edge_rows(self, w):
+        top = 2 ** (w - 1) - 1
+        digit_lists = [
+            [top, -top] * 5 + [top],
+            [0],
+            [-top],
+            [1] + [0] * 12 + [-1],
+            [-top, top, -1, 1, 0, -top],
+            [0, 0, 0, top],
+        ]
+        return [_pack(tuple(digits), w) for digits in digit_lists], digit_lists
+
+    @pytest.mark.parametrize("w", row_widths())
+    def test_rows_of_unequal_length(self, w):
+        xs, digit_lists = self.edge_rows(w)
+        rows = _unpack_rows(xs, w)
+        assert rows == [unpack_reference(x, w) for x in xs]
+        assert [stripped(row) for row in rows] == [stripped(d) for d in digit_lists]
+
+    @pytest.mark.parametrize("w", row_widths())
+    def test_one_digit_per_shift_on_any_byte_order(self, monkeypatch, w):
+        monkeypatch.setattr(motive_module, "sys", SimpleNamespace(byteorder="big"))
+        xs, _ = self.edge_rows(w)
+        assert _unpack_rows(xs, w) == [unpack_reference(x, w) for x in xs]
+
+    @pytest.mark.parametrize("w", row_widths())
+    def test_no_rows(self, w):
+        assert _unpack_rows([], w) == []
+
+    @given(
+        st.sampled_from(ROW_WIDTHS).flatmap(
+            lambda w: st.tuples(
+                st.just(w),
+                st.lists(
+                    st.lists(st.integers(-(2 ** (w - 1)) + 1, 2 ** (w - 1) - 1), max_size=20),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_random_rows(self, case):
+        w, digit_lists = case
+        xs = [_pack(tuple(digits), w) for digits in digit_lists]
+        assert _unpack_rows(xs, w) == [unpack_reference(x, w) for x in xs]
+
+
+class TestPack:
+    """``_pack`` joins two packed halves past 32 coefficients; it equals the
+    one-shift-add-per-coefficient loop at every length across that edge."""
+
+    @pytest.mark.parametrize("w", [pytest.param(w, id=f"w{w}") for w in (3, 8, 64, 386)])
+    def test_every_length_up_to_100(self, w):
+        top = 2 ** (w - 1) - 1
+        for n in range(101):
+            coeffs = [(-1) ** k * (top - k % top) for k in range(n)]
+            assert _pack(tuple(coeffs), w) == pack_reference(coeffs, w)
+            assert _pack(tuple(-c for c in coeffs), w) == -pack_reference(coeffs, w)
+            if n:
+                assert stripped(_unpack(_pack(tuple(coeffs), w), w)) == stripped(coeffs)
+
+
+class TestDiamondText:
+    """``diamond-text`` writes each row with one ``%d`` format, byte for byte
+    the per-entry ``str`` rendering."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: cancelling_class(IntPoly([3, -(2**70), 5, 0, -1])), id="cancelling"),
+            pytest.param(lambda: jacobian(2) * (sym_curve(2, 1) - tate(2, 1) * 3), id="jacobian-product"),
+        ],
+    )
+    def test_negative_hodge_numbers(self, make):
+        matrix = make().hodge_matrix()
+        assert min(map(min, matrix)) < 0 < max(map(max, matrix))
+        assert render_class(make(), "diamond-text") == diamond_text_reference(matrix)
+
+    def test_the_zero_class(self):
+        assert render_class(zero(3), "diamond-text") == diamond_text_reference([[0]]) == "0"
 
 
 class TestSymCoeffPoly:

@@ -168,6 +168,47 @@ class TestJacobianWidth:
             assert_realizes_like(x * jacobian(g), expanded)
 
 
+class TestJacobianTerms:
+    """The terms of ``jacobian(g) * X`` formed in closed form (shift-adds of
+    ``X``'s packed terms, no product) against the pair-by-pair reference."""
+
+    def assert_expands_like(self, x):
+        expanded = class_product_reference(jacobian(x.genus), x)
+        assert motive_module._jacobian_terms(x) == expanded.as_dict()
+        for cls in (jacobian(x.genus) * x, x * jacobian(x.genus)):
+            assert cls.as_dict() == expanded.as_dict()
+            assert cls.to_json_dict() == expanded.to_json_dict()
+
+    @given(st.integers(1, 4).flatmap(classes_strategy))
+    def test_classes_on_either_side(self, x):
+        self.assert_expands_like(x)
+        self.assert_expands_like(-x)
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_the_zero_class(self, g):
+        assert motive_module._jacobian_terms(zero(g)) == {}
+        assert (jacobian(g) * zero(g)).is_zero() and (zero(g) * jacobian(g)).is_zero()
+
+    def test_terms_that_cancel_are_dropped(self):
+        # J = S_1 + 1 + L at g = 1, so J * (S_1 - 1 - L) = S_1^2 - (1 + L)^2
+        x = MotiveClass(1, {(1,): IntPoly([1]), (): IntPoly([-1, -1])})
+        assert (jacobian(1) * x).as_dict() == {(1, 1): IntPoly([1]), (): IntPoly([-1, -2, -1])}
+        self.assert_expands_like(x)
+
+    @pytest.mark.parametrize("w", [pytest.param(w, id=f"w{w}") for w in (8, 16, 32, 64, 65, 81)])
+    def test_digits_at_the_edge_of_the_width(self, w):
+        # (1 + L^(g-b)) (p + q L^(g-b)) has the digit p + q = 2^(w-1) - 1, the
+        # bound the width is taken from
+        p = 2 ** (w - 2)
+        q = 2 ** (w - 1) - 1 - p
+        assert motive_module._width(p + q, cast=True) == w
+        for g in (1, 3):
+            for b in range(g):
+                c = IntPoly([p] + [0] * (g - b - 1) + [q])
+                for x in (MotiveClass(g, {(): c}), MotiveClass(g, {(g,): -c})):
+                    self.assert_expands_like(x)
+
+
 def chamber_specs(g):
     for e in range(2, 4 * g + 6):
         for i in range((e - 1) // 2 + 1):
@@ -211,17 +252,21 @@ def test_higgs_and_bundle_classes(g):
 
 class TestRenderingKeepsTheFactors:
     """Rendering a realization of a pair, Higgs or bundle class never forms
-    ``jacobian * cofactor``; only ``class-json`` does."""
+    ``jacobian * cofactor``; only ``class-json`` does, in closed form."""
 
     @pytest.fixture
     def guarded(self, monkeypatch):
         products = motive_module.sum_of_products
 
+        def expanded(*args):
+            raise AssertionError("the Jacobian product was expanded")
+
         def guard(pairs):
             if any(x is jacobian(x.genus) for pair in pairs for x in pair):
-                raise AssertionError("the Jacobian product was expanded")
+                expanded()
             return products(pairs)
 
+        monkeypatch.setattr(motive_module, "_jacobian_terms", expanded)
         monkeypatch.setattr(motive_module, "sum_of_products", guard)
 
     @pytest.mark.parametrize(

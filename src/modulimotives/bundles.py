@@ -10,8 +10,8 @@ curve with explicit pairs of Tate twists:
                 sym_curve(k1) * sym_curve(k2)
                 * (L^(k1+2k2) + L^(8g-8-2k1-3k2)).
 
-The full moduli space is ``jacobian(g)`` times that class, kept as the two
-factors and realized with the Jacobian in closed form.  Up to isomorphism
+The full moduli space is ``jacobian(g)`` times that class, a class that keeps
+that cofactor and realizes with the Jacobian in closed form.  Up to isomorphism
 neither space depends on the degree d (dualizing and twisting by line bundles
 identify all coprime degrees), so d enters only through the coprimality check.
 """

@@ -31,9 +31,9 @@ Pair classes always enter through the wall-crossing route
 hypothesis; the closed forms are verification-only.
 
 Every component carries exactly one Jacobian factor, so the class is
-``jacobian(g) * Q``, kept as its two factors and realized with the Jacobian in
-closed form; :func:`higgs_motive_mod_jac`, the one assembly, builds Q in
-factored form and checks it effective.  A :class:`FixedComponent` holds no
+``jacobian(g) * Q``, a class that keeps its cofactor Q and realizes with the
+Jacobian in closed form; :func:`higgs_motive_mod_jac`, the one assembly, builds
+Q in factored form and checks it effective.  A :class:`FixedComponent` holds no
 class, only its cofactor's factors, which the twist audit realizes one by one;
 for (1,2) and (2,1) they are ``jacobian`` and the pair cofactor.
 """

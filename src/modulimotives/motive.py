@@ -136,7 +136,7 @@ class MotiveClass:
     has no terms.
     """
 
-    __slots__ = ("_genus", "_terms", "_factors")
+    __slots__ = ("_genus", "_terms", "_cofactor")
 
     def __init__(self, genus: int, terms: Mapping[SymMonomial, IntPoly]) -> None:
         check_ints(genus=genus)
@@ -155,21 +155,15 @@ class MotiveClass:
         return obj
 
     def __getattr__(self, name: str) -> object:  # only for an unset slot
-        """A non-product is its one factor; a product forms its terms when first read."""
-        if name == "_factors":
-            return (self,)
+        """An ordinary class has no cofactor; a Jacobian multiple forms its terms
+        when first read, in closed form (:func:`_jacobian_terms`)."""
+        if name == "_cofactor":
+            return None
         if name != "_terms":
             raise AttributeError(name)
-        x = self._jacobian_cofactor()
-        terms = sum_of_products([self._factors])._terms if x is None else _jacobian_terms(x)
+        terms = _jacobian_terms(self._cofactor)
         object.__setattr__(self, "_terms", terms)
         return terms
-
-    def _jacobian_cofactor(self) -> "MotiveClass | None":
-        """The other factor of a product with a Jacobian factor, else None."""
-        factors, jac = self._factors, jacobian(self._genus)
-        if len(factors) == 2 and jac in factors:
-            return factors[1] if factors[0] == jac else factors[0]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MotiveClass is immutable")
@@ -243,10 +237,11 @@ class MotiveClass:
     def __mul__(self, other: "MotiveClass | IntPoly | int") -> "MotiveClass":
         """Product with a class, or with a polynomial in ``L`` or an int.
 
-        Class by class the product keeps its two factors and forms its terms on
-        first read: with a Jacobian factor in closed form (:func:`_jacobian_terms`),
-        else by :func:`sum_of_products`.  A product operand enters as its formed
-        terms, so products never nest and no chain keeps its history.
+        Class by class, a product with a factor equal to ``jacobian(g)`` keeps
+        the other factor as its cofactor, entered as its formed terms if it is
+        itself a Jacobian multiple, so nothing nests; its terms are formed on
+        first read and its realizations apply the Jacobian in closed form.
+        Every other product is formed at once by :func:`sum_of_products`.
         """
         if isinstance(other, IntPoly) or _is_int(other):
             return MotiveClass._trusted(
@@ -255,12 +250,15 @@ class MotiveClass:
         if not isinstance(other, MotiveClass):
             return NotImplemented
         self._check_genus(other)
-        factors = []
-        for x in (self, other):
-            factors.append(x if len(x._factors) == 1 else MotiveClass._trusted(x._genus, x._terms))
+        jac = jacobian(self._genus)
+        x = other if self == jac else self if other == jac else None
+        if x is None:
+            return sum_of_products([(self, other)])
+        if x._cofactor is not None:  # a Jacobian multiple enters as its terms
+            x = MotiveClass._trusted(x._genus, x._terms)
         obj = object.__new__(MotiveClass)
         object.__setattr__(obj, "_genus", self._genus)
-        object.__setattr__(obj, "_factors", tuple(factors))
+        object.__setattr__(obj, "_cofactor", x)
         return obj
 
     __rmul__ = __mul__
@@ -284,7 +282,7 @@ class MotiveClass:
         Jacobian's coefficient sum) where a Jacobian factor is applied in closed
         form to the other factor's lines (:func:`_times_jacobian`)."""
         g, table = self._genus, _monomial_hodge_lines if hodge else _monomial_betti
-        cofactor = self._jacobian_cofactor()
+        cofactor = self._cofactor
         x = self if cofactor is None else cofactor
         bound = sum(max(map(abs, p.coeffs)) * table(g, m)[0] for m, p in x._terms.items())
         w = _width(bound if cofactor is None else 4**g * bound, cast=hodge)

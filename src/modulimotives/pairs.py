@@ -10,8 +10,8 @@ Every pair class is ``jacobian`` times a cofactor.  Three independent routes
 compute the cofactor ``pair_cofactor_*`` as a list of terms (a class times a
 polynomial in ``L``) fed to one builder, which sums them in one packed product
 and checks the result effective; ``pair_motive_*`` returns
-``jacobian(g) * cofactor``, kept as its two factors, so it realizes with the
-Jacobian in closed form and is effective as both factors are:
+``jacobian(g) * cofactor``, a class that keeps its cofactor, so it realizes
+with the Jacobian in closed form and is effective as both factors are:
 
 * :func:`pair_motive_flip` -- the wall-crossing recursion.  Crossing the
   j-th wall changes the class by the class of the wall's center times a

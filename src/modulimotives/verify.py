@@ -58,11 +58,10 @@ def _chamber_specs(g: int):
 
 
 def _route(result: SweepResult, spec: ChamberSpec, route, name: str):
-    """``route(spec)``, or None after failing a check when it raises ``ArithmeticError``."""
+    """``route(spec)``, or None after failing a check when its cofactor is not
+    effective (``ArithmeticError``); no route divides."""
     try:
         return route(spec)
-    except NonExactDivision:
-        raise
     except ArithmeticError as exc:
         return result.check(False, f"{spec}: {name} fails: {exc}")
 

@@ -218,6 +218,28 @@ def hodge_realization_reference(cls: MotiveClass) -> BiPoly:
     return total
 
 
+def hodge_diamond_violations(matrix: list[list[int]], dim: int) -> list[str]:
+    """The constraints that a Hodge matrix (rows are p) breaks, where a smooth
+    projective variety of dimension ``dim`` must meet them all: it is
+    ``(dim + 1) x (dim + 1)``, ``h^(0,0) = 1``, every ``h^(p,q) >= 0``,
+    Poincaré duality ``h^(p,q) = h^(dim-p,dim-q)``, and hard Lefschetz
+    ``h^(p,q) <= h^(p+1,q+1)`` for ``p + q < dim``.  Empty when it meets them."""
+    n = dim + 1
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        return [f"the matrix is not {n} x {n}"]
+    broken = [] if matrix[0][0] == 1 else [f"h^(0,0) = {matrix[0][0]}"]
+    for p in range(n):
+        for q in range(n):
+            h = matrix[p][q]
+            if h < 0:
+                broken.append(f"h^({p},{q}) = {h} < 0")
+            if h != matrix[dim - p][dim - q]:
+                broken.append(f"h^({p},{q}) != h^({dim - p},{dim - q})")
+            if p + q < dim and h > matrix[p + 1][q + 1]:
+                broken.append(f"h^({p},{q}) > h^({p + 1},{q + 1})")
+    return broken
+
+
 def unpack_reference(x: int, w: int) -> list[int]:
     """The signed base-``2^w`` digits of ``x``, lowest first, peeled off one
     per shift: a digit at or above ``2^(w-1)`` is taken as negative and

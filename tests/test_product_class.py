@@ -1,7 +1,7 @@
-"""Classes kept as ``jacobian × cofactor``: a product class reads as the
+"""Classes kept as ``jacobian × cofactor``: a Jacobian multiple reads as the
 expanded product everywhere, and its realizations, the cofactor's realization
-times the Jacobian's in closed form (any other product realizes its terms),
-match the term-by-term references of the expanded class."""
+times the Jacobian's in closed form, match the term-by-term references of the
+expanded class.  Any other class product is formed at once."""
 
 import operator
 
@@ -106,7 +106,7 @@ class TestReadsAsTheExpandedProduct:
         for formed in (False, True):  # before and after the terms are formed
             if formed:
                 p.items()
-            for name in ("_terms", "_factors", "_genus", "extra"):
+            for name in ("_terms", "_cofactor", "_genus", "extra"):
                 with pytest.raises(AttributeError):
                     setattr(p, name, None)
 
@@ -119,15 +119,38 @@ class TestReadsAsTheExpandedProduct:
 
 
 class TestTheOperator:
-    """``a * b`` is the product that keeps its factors."""
+    """``a * b`` keeps a cofactor only beside a factor equal to ``jacobian(g)``."""
 
     def test_a_long_chain_of_products_never_nests(self):
         acc = unit(2)
         for _ in range(1000):
             acc = acc * tate(2, 1)
-        assert [len(factor._factors) for factor in acc._factors] == [1, 1]
+        assert acc._cofactor is None
         assert acc == tate(2, 1000)
         assert acc.poincare_polynomial() == IntPoly.monomial(2000)
+        acc, expanded = unit(2), unit(2)
+        for k in range(4):  # a Jacobian multiple enters the next as its terms
+            acc = jacobian(2) * acc if k % 2 else acc * jacobian(2)
+            expanded = class_product_reference(jacobian(2), expanded)
+            assert acc._cofactor._cofactor is None
+        assert acc == expanded
+        assert_realizes_like(acc, expanded)
+
+    def test_a_product_without_a_jacobian_factor_is_formed_at_once(self, monkeypatch):
+        formed, products = [], motive_module.sum_of_products
+
+        def spy(pairs):
+            formed.append(pairs)
+            return products(pairs)
+
+        monkeypatch.setattr(motive_module, "sum_of_products", spy)
+        a, b = sym_curve(3, 4), MotiveClass(3, {(): IntPoly([1, -2]), (1, 2): IntPoly([0, 5])})
+        p = a * b
+        assert formed == [[(a, b)]] and p._cofactor is None
+        assert p == class_product_reference(a, b) and len(formed) == 1
+        # a class equal to the Jacobian, though not the cached one, is its factor
+        jac = MotiveClass(3, jacobian(3).as_dict())
+        assert (jac * b)._cofactor is b and (b * jac)._cofactor is b and len(formed) == 1
 
     @pytest.mark.parametrize("g", [1, 3])
     def test_realizing_a_jacobian_product_never_packs_the_jacobian(self, monkeypatch, g):
@@ -245,9 +268,9 @@ def test_higgs_and_bundle_classes_against_the_plain_path(g):
 @pytest.mark.parametrize("g", range(2, 11))
 def test_higgs_and_bundle_classes(g):
     for cls in (higgs_motive(HiggsSpec(g, 1)), bundle_motive(BundleSpec(g, 1))):
-        left, right = cls._factors
-        assert left is jacobian(g)
-        assert_realizes_like(cls, class_product_reference(left, right))
+        cofactor = cls._cofactor
+        assert cofactor is not None and cofactor._cofactor is None
+        assert_realizes_like(cls, class_product_reference(jacobian(g), cofactor))
 
 
 class TestRenderingKeepsTheFactors:

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
 from .motive import (
-    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, top_degree, zero
+    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, top_degree
 )
 from .pairs import ChamberSpec, chamber_of, pair_cofactor_flip, pair_dimension
 
@@ -179,9 +179,10 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
     Picard factor.  Q sums, over the :class:`FixedComponent` records that the
     twist audit checks, each cofactor times ``L^twist``.  The (1,1,1)
     components of one ``m1`` have every ``m2 = m1 + d (mod 3)`` up to a
-    largest ``M``, so they sum to ``sym_curve(m1) * L^(twist(m1,M) + M - top)``
-    times ``R(M)``, the running sum of ``sym_curve(m2) * L^(top-m2)`` over
-    ``m2 <= M`` in the residue class of ``M``.  The (1,2) and (2,1) records
+    largest ``M``, and ``twist(m1, m2) = twist(m1, M) + M - m2``, so they sum to
+    ``sym_curve(m1) * L^twist(m1,M)`` times ``upto[M]``, the sum of
+    ``sym_curve(m2) * L^(M-m2)`` over those ``m2``, formed in Horner form as
+    ``upto[M-3] * L^3 + sym_curve(M)``.  The (1,2) and (2,1) records
     enter as ``jacobian`` times the sum of their pair cofactors times
     ``L^twist``.  These products and the bundle cofactor form one packed
     :func:`~modulimotives.motive.sum_of_products`, checked effective.
@@ -190,16 +191,12 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
     paired = fixed_locus_12(spec) + fixed_locus_21(spec)  # factors (jacobian, pair cofactor)
     pairs = [(jacobian(g), sum_of_products([(c.factors[1], tate(g, c.twist)) for c in paired]))]
     pairs += [(c.cofactor, tate(g, c.twist)) for c in fixed_locus_bundles(spec)]
-    largest = {c.params[0]: c for c in fixed_locus_111(spec)}  # (m1, M) by m1
-    top = max(c.params[1] for c in largest.values())
-    running, upto = [zero(g)] * 3, []
-    for m2 in range(top + 1):
-        running[m2 % 3] = running[m2 % 3] + sym_curve(g, m2).tate_twist(top - m2)
-        upto.append(running[m2 % 3])
-    pairs += [
-        (sym_curve(g, m1), upto[c.params[1]].tate_twist(c.twist + c.params[1] - top))
-        for m1, c in largest.items()
-    ]
+    last = {c.params[0]: c for c in fixed_locus_111(spec)}  # the (m1, M) record by m1
+    upto = []
+    for M in range(max(c.params[1] for c in last.values()) + 1):
+        s = sym_curve(g, M)
+        upto.append(upto[M - 3].tate_twist(3) + s if M >= 3 else s)
+    pairs += [(sym_curve(g, m1), upto[c.params[1]].tate_twist(c.twist)) for m1, c in last.items()]
     return check_effective(sum_of_products(pairs), f"Higgs class for {spec}")
 
 

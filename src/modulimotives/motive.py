@@ -123,11 +123,6 @@ def _unpack_rows(xs: list[int], w: int) -> list[list[int]]:
     return rows
 
 
-def _unpack(x: int, w: int) -> list[int]:
-    """The signed base-``2^w`` digits of ``x``, one row of :func:`_unpack_rows`."""
-    return _unpack_rows([x], w)[0]
-
-
 class MotiveClass:
     """An element of the curve-generated Grothendieck ring, in normal form.
 
@@ -274,21 +269,6 @@ class MotiveClass:
 
     # -- realizations ------------------------------------------------------
 
-    def _realized(self, hodge: bool) -> tuple[dict[int, int], int]:
-        """The Hodge lines ``d >= 0``, or the Poincaré line ``{0: x}``, as ints at ``2^w``,
-        and ``w``.  An output digit sums at most one ``c_k * h`` a term (``h`` a
-        monomial's Hodge number or ``betti``), so ``w`` is the :func:`_width`, cast
-        on the Hodge lines, of the sum of ``max|c_k| * max|h|``, times ``4^g`` (the
-        Jacobian's coefficient sum) where a Jacobian factor is applied in closed
-        form to the other factor's lines (:func:`_times_jacobian`)."""
-        g, table = self._genus, _monomial_hodge_lines if hodge else _monomial_betti
-        cofactor = self._cofactor
-        x = self if cofactor is None else cofactor
-        bound = sum(max(map(abs, p.coeffs)) * table(g, m)[0] for m, p in x._terms.items())
-        w = _width(bound if cofactor is None else 4**g * bound, cast=hodge)
-        lines = _packed_lines(x, table, 1 if hodge else 2, w)
-        return (lines if cofactor is None else _times_jacobian(lines, g, w, hodge)), w
-
     def hodge_realization(self) -> BiPoly:
         """Hodge polynomial: the coefficient of ``u^p v^q`` is ``h^(p,q)``.
 
@@ -303,19 +283,34 @@ class MotiveClass:
         ``sum(mono)``, so it has at most one entry ``h`` on each line, at ``q``,
         and along a line ``L`` acts as ``uv``: a term ``c(L) * mono`` adds
         ``h * c(uv) * (uv)^q`` to line ``d``.
-        Each line is one int, its polynomial in ``uv`` at ``2^w`` (see
-        :meth:`_realized`); :meth:`hodge_matrix` places it and its mirror.
+        Each line is one int, its polynomial in ``uv`` at ``2^w``;
+        :meth:`hodge_matrix` forms the lines and places each and its mirror.
         """
         rows = enumerate(self.hodge_matrix())
         return BiPoly._trusted({(p, q): c for p, row in rows for q, c in enumerate(row) if c})
 
     def hodge_matrix(self) -> list[list[int]]:
         """``hodge_realization().to_matrix()``, ``[[0]]`` for the zero class.
+
+        An output digit sums at most one ``c_k * h`` a term, so ``w`` is the cast
+        :func:`_width` of the sum of ``max|c_k| * max|h|``, times ``4^g`` (the
+        Jacobian's coefficient sum) where the Jacobian factor is applied in
+        closed form to the cofactor's lines (:func:`_times_jacobian`).
         Line ``d >= 0`` starts at ``(d, 0)`` and its mirror at ``(0, d)``; without
         trailing zeros they span ``n = max(d + len)`` rows and columns, and the
         k-th digit sits at ``(d+k)·n + k`` of the row-major list and at
         ``k·n + d + k``, so two slices of step ``n + 1`` place the line."""
-        lines, w = self._realized(hodge=True)
+        g, cofactor = self._genus, self._cofactor
+        terms = (self if cofactor is None else cofactor)._terms.items()
+        bound = sum(max(map(abs, p.coeffs)) * _monomial_hodge_lines(g, m)[0] for m, p in terms)
+        w = _width(bound if cofactor is None else 4**g * bound, cast=True)
+        lines: dict[int, int] = {}
+        for mono, poly in terms:
+            packed = _pack(poly.coeffs, w)
+            for d, q, h in _monomial_hodge_lines(g, mono)[1]:
+                lines[d] = lines.get(d, 0) + ((h * packed) << (w * q))
+        if cofactor is not None:
+            lines = _times_jacobian(lines, g, w)
         placed, n = [], 1
         for d, row in zip(lines, _unpack_rows(list(lines.values()), w)):
             digits = IntPoly._trusted(row).coeffs  # no trailing zeros
@@ -338,10 +333,19 @@ class MotiveClass:
         t^deg`` with ``betti`` the product of ``C(2g, b)`` over the monomial
         and ``deg`` its index sum.  The whole sum is one int, the polynomial
         at ``2^w`` (Kronecker substitution; ``c(t^2)`` is ``c`` packed at
-        ``2^(2w)``; see :meth:`_realized`).
+        ``2^(2w)``), with ``w`` as in :meth:`hodge_matrix` but for ``h = betti``,
+        uncast; a Jacobian factor multiplies it by ``(1+t)^(2g)`` at ``t = 2^w``.
         """
-        lines, w = self._realized(hodge=False)
-        return IntPoly._trusted(_unpack(lines.get(0, 0), w))
+        g, cofactor = self._genus, self._cofactor
+        terms = (self if cofactor is None else cofactor)._terms.items()
+        bound = sum(max(map(abs, p.coeffs)) * _monomial_betti(g, m) for m, p in terms)
+        w = _width(bound if cofactor is None else 4**g * bound)
+        total = sum(
+            (_monomial_betti(g, m) * _pack(p.coeffs, 2 * w)) << (w * sum(m)) for m, p in terms
+        )
+        if cofactor is not None:
+            total *= (1 + (1 << w)) ** (2 * g)
+        return IntPoly._trusted(_unpack_rows([total], w)[0])
 
     def euler_characteristic(self) -> int:
         value = self.poincare_polynomial().evaluate(-1)
@@ -389,23 +393,11 @@ class MotiveClass:
         return f"MotiveClass(g={self._genus}, " + " + ".join(parts) + ")"
 
 
-def _packed_lines(cls: MotiveClass, table, step: int, w: int) -> dict[int, int]:
-    lines: dict[int, int] = {}
-    for mono, poly in cls._terms.items():
-        packed = _pack(poly.coeffs, step * w)
-        for d, m, h in table(cls._genus, mono)[1]:
-            lines[d] = lines.get(d, 0) + ((h * packed) << (w * m))
-    return lines
-
-
-def _times_jacobian(lines: dict[int, int], g: int, w: int, hodge: bool) -> dict[int, int]:
-    """``lines`` times the Jacobian: the Poincaré line times ``(1+t)^(2g)`` at
-    ``t = 2^w``, the Hodge lines ``d >= 0`` times ``(1+u)^g``, reading line
-    ``-d`` as line ``d``, and then ``(1+v)^g``.  ``u^k`` takes line ``d`` to
-    ``d + k``, line ``-d`` to ``k - d``, ``d`` digits along, and ``v^l`` takes
-    line ``d`` to ``d - l``, ``l`` digits along; no line below 0 is formed."""
-    if not hodge:
-        return {0: lines.get(0, 0) * (1 + (1 << w)) ** (2 * g)}
+def _times_jacobian(lines: dict[int, int], g: int, w: int) -> dict[int, int]:
+    """The Hodge lines ``d >= 0`` at ``2^w`` times the Jacobian: times ``(1+u)^g``,
+    reading line ``-d`` as line ``d``, and then ``(1+v)^g``.  ``u^k`` takes line
+    ``d`` to ``d + k``, line ``-d`` to ``k - d``, ``d`` digits along, and ``v^l``
+    takes line ``d`` to ``d - l``, ``l`` digits along; no line below 0 is formed."""
     binomials = [comb(g, k) for k in range(g + 1)]
     mid: dict[int, int] = {}
     for d, x in lines.items():
@@ -568,10 +560,9 @@ def projective_space(g: int, n: int) -> MotiveClass:
 
 
 @lru_cache(maxsize=None)
-def _monomial_betti(g: int, mono: SymMonomial) -> tuple[int, tuple]:
-    """``betti`` and the Poincaré image ``betti * t^deg`` of a monomial, one line entry."""
-    betti = prod(comb(2 * g, b) for b in mono)
-    return betti, ((0, sum(mono), betti),)
+def _monomial_betti(g: int, mono: SymMonomial) -> int:
+    """``betti``, the coefficient of the Poincaré image ``betti * t^deg`` of a monomial."""
+    return prod(comb(2 * g, b) for b in mono)
 
 
 @lru_cache(maxsize=None)

@@ -322,3 +322,90 @@ def higgs_mod_jac_reference(spec: HiggsSpec) -> MotiveClass:
             cls = pair_motive_flip(comp.chamber)
         acc = acc + cls.tate_twist(comp.twist)
     return acc
+
+
+# -- [N(2, e)] by the Harder–Narasimhan recursion, on plain dicts --------------
+# A Laurent class is ``{mono: {exp: coef}}``, the coefficient of each monomial
+# as a Laurent polynomial in L with no zero entries.  Nothing below uses
+# MotiveClass, IntPoly, exact_div or sum_of_products, so the oracle shares no
+# arithmetic with the classes it checks.
+
+
+def _laurent_sym_h1(g: int, b: int, shift: int) -> dict:
+    """``S_b · L^shift``, with ``S_b`` for ``b > g`` reduced to ``S_(2g-b) L^(b-g)``;
+    ``S_0`` and so ``S_(2g) = L^g`` sit on the unit monomial ``()``."""
+    if b > g:
+        b, shift = 2 * g - b, shift + b - g
+    return {(b,) if b else (): {shift: 1}}
+
+
+def _laurent_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = {m: dict(p) for m, p in a.items()}
+    for mono, poly in b.items():
+        row = out.setdefault(mono, {})
+        for k, c in poly.items():
+            row[k] = row.get(k, 0) + sign * c
+    return {m: r for m, p in out.items() if (r := {k: c for k, c in p.items() if c})}
+
+
+def laurent_mul(a: dict, b: dict, shift: int) -> dict:
+    """``a · b · L^shift``; a product of generators stays a formal monomial."""
+    out: dict = {}
+    for m1, p1 in a.items():
+        for m2, p2 in b.items():
+            row = out.setdefault(tuple(sorted(m1 + m2)), {})
+            for k1, c1 in p1.items():
+                for k2, c2 in p2.items():
+                    row[k1 + k2 + shift] = row.get(k1 + k2 + shift, 0) + c1 * c2
+    return _laurent_add({}, out)
+
+
+def over_one_minus(f: dict[int, int], k: int) -> dict[int, int]:
+    """The Laurent polynomial ``f / (1 - L^-k)``, from the top down: its
+    coefficient at ``n`` is ``f_n`` plus its own at ``n + k``.  ``ArithmeticError``
+    if the division leaves a remainder."""
+    q: dict[int, int] = {}
+    for n in range(max(f), min(f) - 1, -1):
+        c = f.get(n, 0) + q.get(n + k, 0)
+        if n >= min(f) + k:
+            q[n] = c
+        elif c:
+            raise ArithmeticError(f"{f} is not a multiple of 1 - L^-{k}")
+    return {n: c for n, c in q.items() if c}
+
+
+def rank2_bundle_reference(g: int, e: int) -> dict:
+    """``[N(2, e)]`` as a Laurent class, from the Atiyah–Bott recursion at motive
+    level (Behrend–Dhillon 2007): the stack of all rank-2 bundles, less its
+    unstable strata, times ``L - 1``, is
+
+        L·(Jac·L^(3g-4)·Σ_(b<=2g) S_b L^(-2b) - Jac²·L^(g-3-k0)) / ((1-L^-1)(1-L^-2))
+
+    with ``k0 = 1`` for odd ``e`` and 2 for even ``e``.  ``ArithmeticError`` on an
+    inexact division or a negative power of L in the result."""
+    jac, zeta = {}, {}
+    for b in range(2 * g + 1):
+        jac = _laurent_add(jac, _laurent_sym_h1(g, b, 0))
+        zeta = _laurent_add(zeta, _laurent_sym_h1(g, b, -2 * b))
+    k0 = 1 if e % 2 else 2
+    num = _laurent_add(laurent_mul(jac, zeta, 3 * g - 4), laurent_mul(jac, jac, g - 3 - k0), -1)
+    out = {}
+    for mono, f in num.items():
+        q = {n + 1: c for n, c in over_one_minus(over_one_minus(f, 1), 2).items()}
+        if min(q, default=0) < 0:
+            raise ArithmeticError(f"[N(2, {e})] at genus {g} has L^{min(q)} on {mono}")
+        out[mono] = q
+    return out
+
+
+def thaddeus_reference(g: int, e: int) -> dict:
+    """``[N(2, e)]·[P^(e+1-2g)]`` as a Laurent class: for odd ``e >= 4g - 3`` the
+    pair space in the last chamber ``(e-1)//2`` is a projective bundle over
+    ``N(2, e)`` (Thaddeus 1994)."""
+    fibre = {(): dict.fromkeys(range(e + 2 - 2 * g), 1)}  # 1 + L + ... + L^(e+1-2g)
+    return laurent_mul(rank2_bundle_reference(g, e), fibre, 0)
+
+
+def laurent_terms(cls: MotiveClass) -> dict:
+    """The terms of ``cls`` as a Laurent class."""
+    return {m: {k: c for k, c in enumerate(p.coeffs) if c} for m, p in cls.items()}

@@ -3,6 +3,8 @@ chamber and both rank-3 bundle moduli spaces, meet the constraints any smooth
 projective variety's diamond meets (:func:`support.hodge_diamond_violations`)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modulimotives import BundleSpec, ChamberSpec, bundle_motive, bundle_motive_fixed_det, pair_motive_flip
 from support import hodge_diamond_violations
@@ -15,6 +17,19 @@ def test_every_pair_chamber(g):
             spec = ChamberSpec(g=g, e=e, i=i)
             matrix = pair_motive_flip(spec).hodge_matrix()
             assert hodge_diamond_violations(matrix, e + 2 * g - 2) == [], spec
+
+
+@st.composite
+def far_chambers(draw):
+    g, e = draw(st.integers(1, 10)), draw(st.integers(2, 120))
+    return ChamberSpec(g, e, draw(st.integers(0, (e - 1) // 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(far_chambers())
+def test_far_pair_chambers(spec):
+    matrix = pair_motive_flip(spec).hodge_matrix()
+    assert hodge_diamond_violations(matrix, spec.e + 2 * spec.g - 2) == [], spec
 
 
 @pytest.mark.parametrize("g", range(2, 9))

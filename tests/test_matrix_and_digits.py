@@ -26,7 +26,7 @@ from modulimotives import (
 )
 import modulimotives.motive as motive_module
 from modulimotives.cli import render_class
-from modulimotives.motive import _monomial_hodge_lines, _pack, _unpack, _unpack_rows, _width
+from modulimotives.motive import _monomial_hodge_lines, _pack, _unpack_rows, _width
 from modulimotives.pairs import pair_cofactor_flip
 from support import (
     classes_strategy,
@@ -116,7 +116,7 @@ def widths():
 
 
 class TestDigits:
-    """``_unpack`` reads 8-, 16-, 32- and 64-bit digits with one cast and
+    """``_unpack_rows`` reads 8-, 16-, 32- and 64-bit digits with one cast and
     other widths one digit per shift; both against the reference loop."""
 
     @pytest.mark.parametrize(
@@ -154,8 +154,8 @@ class TestDigits:
         ]
         for digits in cases:
             x = _pack(tuple(digits), w)
-            assert _unpack(x, w) == unpack_reference(x, w)
-            assert stripped(_unpack(x, w)) == stripped(digits)
+            assert _unpack_rows([x], w)[0] == unpack_reference(x, w)
+            assert stripped(_unpack_rows([x], w)[0]) == stripped(digits)
 
     @pytest.mark.parametrize("w", widths())
     def test_one_digit_per_shift_on_any_byte_order(self, monkeypatch, w):
@@ -164,8 +164,8 @@ class TestDigits:
         top = 2 ** (w - 1) - 1
         for digits in ([0], [top, -top] * 3 + [top], [0, 0, -1, 1, -top]):
             x = _pack(tuple(digits), w)
-            assert _unpack(x, w) == unpack_reference(x, w)
-            assert stripped(_unpack(x, w)) == stripped(digits)
+            assert _unpack_rows([x], w)[0] == unpack_reference(x, w)
+            assert stripped(_unpack_rows([x], w)[0]) == stripped(digits)
 
     @given(
         st.sampled_from(WIDTHS).flatmap(
@@ -178,8 +178,8 @@ class TestDigits:
     def test_random_digits(self, case):
         w, digits = case
         x = _pack(tuple(digits), w)
-        assert _unpack(x, w) == unpack_reference(x, w)
-        assert stripped(_unpack(x, w)) == stripped(digits)
+        assert _unpack_rows([x], w)[0] == unpack_reference(x, w)
+        assert stripped(_unpack_rows([x], w)[0]) == stripped(digits)
 
 
 ROW_WIDTHS = (8, 16, 32, 64, 9, 17, 65)
@@ -251,7 +251,7 @@ class TestPack:
             assert _pack(tuple(coeffs), w) == pack_reference(coeffs, w)
             assert _pack(tuple(-c for c in coeffs), w) == -pack_reference(coeffs, w)
             if n:
-                assert stripped(_unpack(_pack(tuple(coeffs), w), w)) == stripped(coeffs)
+                assert stripped(_unpack_rows([_pack(tuple(coeffs), w)], w)[0]) == stripped(coeffs)
 
 
 class TestDiamondText:

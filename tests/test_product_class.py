@@ -158,17 +158,17 @@ class TestTheOperator:
         products = (jacobian(g) * x, x * jacobian(g))
         expanded = class_product_reference(jacobian(g), x)
         hodge, poincare = hodge_realization_reference(expanded), poincare_reference(expanded)
-        packed, packed_lines = [], motive_module._packed_lines
+        packed, pack = [], motive_module._pack
 
-        def spy(cls, *args):
-            packed.append(cls)
-            return packed_lines(cls, *args)
+        def spy(coeffs, w):
+            packed.append(coeffs)
+            return pack(coeffs, w)
 
-        monkeypatch.setattr(motive_module, "_packed_lines", spy)
+        monkeypatch.setattr(motive_module, "_pack", spy)
         for cls in products:
             assert cls.hodge_realization() == hodge
             assert cls.poincare_polynomial() == poincare
-        assert len(packed) == 4 and all(cls is x for cls in packed)
+        assert len(packed) == 8 and set(packed) == {p.coeffs for p in x.as_dict().values()}
 
 
 class TestJacobianWidth:

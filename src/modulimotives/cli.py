@@ -38,10 +38,10 @@ from .verify import SUITES, run_suite
 
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
-# Ceilings on the inputs whose cost grows without bound.  On a busy 2-vCPU host
-# (best of 7) the costliest query inside each took: at genus 30, ``higgs`` 1.6 s
-# as class-json, 1.1 s as diamond-json, 1.0 s with --mod-jac, ``bundles`` 0.6 s,
-# ``pairs`` 0.35 s at e = 400, chamber 199; ``verify --suite all`` 2.1 s at 12.
+# Ceilings on the inputs whose cost grows without bound.  On a 2-vCPU x86-64 host
+# (best of 7) the costliest query inside each took: at genus 30, ``higgs`` 1.1 s
+# as class-json, 0.9 s as diamond-json, 0.7 s with --mod-jac, ``bundles`` 0.45 s,
+# ``pairs`` 0.27 s at e = 400, chamber 199; ``verify --suite all`` 1.4 s at 12.
 MAX_GENUS = 30
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 12

@@ -46,10 +46,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .bundles import BundleSpec, bundle_dimension, bundle_motive_fixed_det
-from .motive import (
-    MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, tate, top_degree
-)
+from .motive import MotiveClass, check_effective, jacobian, sum_of_products, sym_curve, top_degree
 from .pairs import ChamberSpec, chamber_of, pair_cofactor_flip, pair_dimension
+from .polyring import IntPoly
 
 
 class ChamberMismatch(RuntimeError):
@@ -185,12 +184,14 @@ def higgs_motive_mod_jac(spec: HiggsSpec) -> MotiveClass:
     ``upto[M-3] * L^3 + sym_curve(M)``.  The (1,2) and (2,1) records
     enter as ``jacobian`` times the sum of their pair cofactors times
     ``L^twist``.  These products and the bundle cofactor form one packed
-    :func:`~modulimotives.motive.sum_of_products`, checked effective.
+    :func:`~modulimotives.motive.sum_of_products`, checked effective; each
+    ``L^twist`` of a cofactor enters it as ``IntPoly.monomial(twist)``.
     """
     g = spec.g
     paired = fixed_locus_12(spec) + fixed_locus_21(spec)  # factors (jacobian, pair cofactor)
-    pairs = [(jacobian(g), sum_of_products([(c.factors[1], tate(g, c.twist)) for c in paired]))]
-    pairs += [(c.cofactor, tate(g, c.twist)) for c in fixed_locus_bundles(spec)]
+    twisted = [(c.factors[1], IntPoly.monomial(c.twist)) for c in paired]
+    pairs = [(jacobian(g), sum_of_products(twisted))]
+    pairs += [(c.cofactor, IntPoly.monomial(c.twist)) for c in fixed_locus_bundles(spec)]
     last = {c.params[0]: c for c in fixed_locus_111(spec)}  # the (m1, M) record by m1
     upto = []
     for M in range(max(c.params[1] for c in last.values()) + 1):

@@ -131,7 +131,7 @@ class MotiveClass:
     has no terms.
     """
 
-    __slots__ = ("_genus", "_terms", "_cofactor")
+    __slots__ = ("_genus", "_terms", "_cofactor", "_norm1")
 
     def __init__(self, genus: int, terms: Mapping[SymMonomial, IntPoly]) -> None:
         check_ints(genus=genus)
@@ -150,15 +150,19 @@ class MotiveClass:
         return obj
 
     def __getattr__(self, name: str) -> object:  # only for an unset slot
-        """An ordinary class has no cofactor; a Jacobian multiple forms its terms
-        when first read, in closed form (:func:`_jacobian_terms`)."""
+        """An ordinary class has no cofactor; a Jacobian multiple forms its terms in
+        closed form (:func:`_jacobian_terms`) and every class its 1-norm ``_norm1``,
+        the sum of ``||c||_1`` over its terms, when first read."""
         if name == "_cofactor":
             return None
-        if name != "_terms":
+        if name == "_terms":
+            value = _jacobian_terms(self._cofactor)
+        elif name == "_norm1":
+            value = sum(sum(map(abs, p.coeffs)) for p in self._terms.values())
+        else:
             raise AttributeError(name)
-        terms = _jacobian_terms(self._cofactor)
-        object.__setattr__(self, "_terms", terms)
-        return terms
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MotiveClass is immutable")
@@ -414,26 +418,29 @@ def _times_jacobian(lines: dict[int, int], g: int, w: int) -> dict[int, int]:
     return out
 
 
-def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass]]) -> MotiveClass:
-    """The sum of ``a * b`` over a nonempty list of pairs of classes of one
-    genus, expanded: the one expansion of class products.
+def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass | IntPoly]]) -> MotiveClass:
+    """The sum of ``a * b`` over a nonempty list of pairs, expanded: the one
+    expansion of class products.  The ``a`` are classes of one genus, and each
+    ``b`` a class of it or an ``IntPoly`` in ``L``, read with no class built.
 
     Each coefficient polynomial is packed into one int at ``2^w`` (Kronecker
     substitution), each pair of monomials costs one int product, and each
     output monomial is unpacked once as signed digits.  With ``w`` the
-    :func:`_width` of the summed bound ``sum of ||a||_1 * ||b||_inf`` the
-    digits are exact: for a fixed pair, output monomial and power of ``L``,
-    each coefficient of ``a`` meets at most one coefficient of ``b``."""
-    g, bound, sums = pairs[0][0].genus, 0, {}
+    :func:`_width` of the summed bound ``sum of ||a||_1 * ||b||_inf``, ``||a||_1``
+    read as ``a._norm1``, the digits are exact: for a fixed pair, output monomial
+    and power of ``L``, each coefficient of ``a`` meets at most one of ``b``."""
+    g, bound, sums, operands = pairs[0][0].genus, 0, {}, []
     for a, b in pairs:
         pairs[0][0]._check_genus(a)
-        a._check_genus(b)
-        norm_inf = max((max(map(abs, p.coeffs)) for p in b._terms.values()), default=0)
-        bound += sum(sum(map(abs, p.coeffs)) for p in a._terms.values()) * norm_inf
+        if isinstance(b, MotiveClass):
+            a._check_genus(b)
+        b = b._terms if isinstance(b, MotiveClass) else {(): b} if b else {}
+        bound += a._norm1 * max((max(map(abs, p.coeffs)) for p in b.values()), default=0)
+        operands.append((a._terms, b))
     w = _width(bound)
-    for a, b in pairs:
-        packed = [(m, _pack(p.coeffs, w)) for m, p in b._terms.items()]
-        for m1, p1 in a._terms.items():
+    for a, b in operands:
+        packed = [(m, _pack(p.coeffs, w)) for m, p in b.items()]
+        for m1, p1 in a.items():
             x1 = _pack(p1.coeffs, w)
             for m2, x2 in packed:
                 mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
@@ -446,9 +453,9 @@ def _jacobian_terms(x: MotiveClass) -> dict[SymMonomial, IntPoly]:
     """The terms of ``jacobian(g) * x`` by the closed form of :func:`jacobian`, with
     no product: each term ``c·m`` of ``x``, packed once as ``y``, adds ``y`` (b = g)
     or ``y + (y << w·(g-b))`` to ``m·S_b``.  An output digit sums at most two of
-    each ``c``, so ``w`` is the cast :func:`_width` of ``sum of ||c||_1``."""
+    each ``c``, so ``w`` is the cast :func:`_width` of ``sum of ||c||_1``, ``x._norm1``."""
     g, sums = x._genus, {}
-    w = _width(sum(sum(map(abs, p.coeffs)) for p in x._terms.values()), cast=True)
+    w = _width(x._norm1, cast=True)
     for m, p in x._terms.items():
         packed = _pack(p.coeffs, w)
         for b in range(g + 1):

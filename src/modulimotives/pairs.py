@@ -101,6 +101,8 @@ def chambers(e: int) -> tuple[int, list[Fraction]]:
 def chamber_of(sigma: Fraction | int, e: int) -> int:
     """Index of the chamber containing an exact stability parameter.
 
+    In integers: ``sigma = n/d`` is in ``(0, e/2]`` iff ``0 < 2n <= e·d``, and the
+    index, the floor of ``e/2 - sigma``, is ``(e·d - 2n) // 2d``, a wall iff exact.
     Raises :class:`OnWall` when sigma is a wall and :class:`OutOfRange` when
     sigma is outside ``(0, e/2]``.
     """
@@ -108,13 +110,13 @@ def chamber_of(sigma: Fraction | int, e: int) -> int:
     if not isinstance(sigma, (int, Fraction)) or isinstance(sigma, bool):
         raise TypeError(f"sigma must be an int or a Fraction, got {sigma!r}")
     _last_chamber(e)
-    sigma = Fraction(sigma)
-    if sigma <= 0 or sigma > Fraction(e, 2):
-        raise OutOfRange(f"stability parameter {sigma} outside (0, {e}/2]")
-    offset = Fraction(e, 2) - sigma  # lies in [0, e/2)
-    if offset.denominator == 1:
-        raise OnWall(f"stability parameter {sigma} is the wall of index {offset}")
-    return int(offset)
+    n, d = sigma.numerator, sigma.denominator
+    if n <= 0 or 2 * n > e * d:
+        raise OutOfRange(f"stability parameter {Fraction(sigma)} outside (0, {e}/2]")
+    index, rest = divmod(e * d - 2 * n, 2 * d)  # e/2 - sigma, in [0, e/2)
+    if rest == 0:
+        raise OnWall(f"stability parameter {Fraction(sigma)} is the wall of index {index}")
+    return index
 
 
 def pair_dimension(spec: ChamberSpec) -> int:
@@ -123,9 +125,9 @@ def pair_dimension(spec: ChamberSpec) -> int:
 
 
 def _pair_cofactor(spec: ChamberSpec, terms: list[tuple[MotiveClass, IntPoly]]) -> MotiveClass:
-    """One packed sum of the terms, each a class times a polynomial in ``L``; checked effective."""
-    acc = sum_of_products([(cls, MotiveClass._trusted(spec.g, {(): p})) for cls, p in terms])
-    return check_effective(acc, f"pair class for {spec}")
+    """One packed sum of the terms, each a class times a polynomial in ``L`` that
+    :func:`~modulimotives.motive.sum_of_products` takes as it is; checked effective."""
+    return check_effective(sum_of_products(terms), f"pair class for {spec}")
 
 
 def _flip_block(g: int, e: int, j: int) -> IntPoly:

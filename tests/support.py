@@ -7,6 +7,7 @@ code paths, so that frozen expected values are computed by a second route.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from hypothesis import strategies as st
 
 from modulimotives.bundles import bundle_dimension, bundle_motive_fixed_det
 from modulimotives.higgs import AuditReport, AuditRow
+from modulimotives.motive import check_ints
+from modulimotives.pairs import InvalidChamber, OnWall, OutOfRange
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +125,24 @@ def class_product_reference(a: MotiveClass, b: MotiveClass) -> MotiveClass:
             mono = tuple(sorted(m1 + m2))
             out[mono] = out.get(mono, IntPoly.zero()) + p1 * p2
     return MotiveClass(a.genus, out)
+
+
+def chamber_of_reference(sigma: Fraction | int, e: int) -> int:
+    """The chamber index of an exact stability parameter in ``Fraction``
+    arithmetic: the floor of ``e/2 - sigma``, with the same exceptions and
+    messages as :func:`~modulimotives.pairs.chamber_of`."""
+    check_ints(e=e)
+    if not isinstance(sigma, (int, Fraction)) or isinstance(sigma, bool):
+        raise TypeError(f"sigma must be an int or a Fraction, got {sigma!r}")
+    if e < 2:
+        raise InvalidChamber(f"pair degree must be >= 2, got {e}")
+    sigma = Fraction(sigma)
+    if sigma <= 0 or sigma > Fraction(e, 2):
+        raise OutOfRange(f"stability parameter {sigma} outside (0, {e}/2]")
+    offset = Fraction(e, 2) - sigma  # lies in [0, e/2)
+    if offset.denominator == 1:
+        raise OnWall(f"stability parameter {sigma} is the wall of index {offset}")
+    return int(offset)
 
 
 def sym_curve_reference(g: int, j: int) -> MotiveClass:
@@ -394,6 +415,87 @@ def rank2_bundle_reference(g: int, e: int) -> dict:
         q = {n + 1: c for n, c in over_one_minus(over_one_minus(f, 1), 2).items()}
         if min(q, default=0) < 0:
             raise ArithmeticError(f"[N(2, {e})] at genus {g} has L^{min(q)} on {mono}")
+        out[mono] = q
+    return out
+
+
+def _laurent_zeta_sums(g: int) -> tuple[dict, dict, dict]:
+    """``Jac = Σ_(b<=2g) S_b`` and the numerators ``Σ_b S_b L^(-2b)`` and
+    ``Σ_b S_b L^(-3b)`` of the motivic zeta function at ``L^-2`` and ``L^-3``."""
+    jac, zeta2, zeta3 = {}, {}, {}
+    for b in range(2 * g + 1):
+        jac = _laurent_add(jac, _laurent_sym_h1(g, b, 0))
+        zeta2 = _laurent_add(zeta2, _laurent_sym_h1(g, b, -2 * b))
+        zeta3 = _laurent_add(zeta3, _laurent_sym_h1(g, b, -3 * b))
+    return jac, zeta2, zeta3
+
+
+def _times_one_minus(a: dict, k: int) -> dict:
+    """``a · (1 - L^-k)``."""
+    return _laurent_add(a, laurent_mul(a, {(): {0: 1}}, -k), -1)
+
+
+def rank3_bundle_reference(g: int, d: int) -> dict:
+    """``[N(3, d)]`` (``d`` prime to 3) as a Laurent class, from the Atiyah–Bott
+    recursion at motive level (Behrend–Dhillon 2007), with ``D_k = 1 - L^-k``:
+
+        [Bun_3]        = Jac·L^(8g-9)·Σ_b S_b L^(-2b)·Σ_c S_c L^(-3c) / (D_1² D_2² D_3)
+        [Bun^ss_1]     = Jac·L^-1 / D_1
+        [Bun^ss_(2,e)] = (Jac·L^(3g-4)·Σ_b S_b L^(-2b) - Jac²·L^(g-3-k0)) / (D_1² D_2)
+
+    with ``k0 = 1`` for odd ``e`` and 2 for even ``e`` (the rank-2 recursion of
+    :func:`rank2_bundle_reference`).  A Harder–Narasimhan stratum of type
+    ``(n_i, d_i)``, slopes falling, is ``L^(Σ_(i<j) (g-1) n_i n_j - (d_i n_j - d_j n_i))``
+    times the product of its ``[Bun^ss_(n_i,d_i)]``; summed over the degrees,
+    each type is a geometric series:
+
+    * (1,1,1): ``L^(3g-3) [Bun^ss_1]³ Σ L^(-2(a+c))`` over ``a, c >= 1`` with
+      ``a + 2c = d (mod 3)``, that is over ``a0, c0`` in 1..3 of ``L^(-2(a0+c0)) / D_6²``;
+    * (1,2): ``L^(2g-2) [Bun^ss_1] [Bun^ss_(2,(2d-m)/3)] L^-m`` over ``m > 0``,
+      ``m = -d (mod 3)``, that is over ``m0`` in 1..6 of ``L^-m0 / D_6``, as ``m``
+      and ``m0`` give rank-2 degrees of one parity;
+    * (2,1): the same with ``m = d (mod 3)`` and rank-2 degree ``(2d + m)/3``.
+
+    ``[N(3, d)] = (L - 1)·[Bun^ss_3]``, the strata subtracted from ``[Bun_3]`` over
+    one common denominator, which then divides out exactly.  ``ArithmeticError``
+    on an inexact division or a negative power of L in the result."""
+    jac, zeta2, zeta3 = _laurent_zeta_sums(g)
+
+    def rank2(e: int) -> dict:  # the numerator of [Bun^ss_(2,e)] over D_1² D_2
+        k0 = 1 if e % 2 else 2
+        return _laurent_add(laurent_mul(jac, zeta2, 3 * g - 4), laurent_mul(jac, jac, g - 3 - k0), -1)
+
+    series = {}  # Σ L^(-2(a0+c0)) over the (1,1,1) residues
+    for a0 in (1, 2, 3):
+        for c0 in (1, 2, 3):
+            if (a0 + 2 * c0 - d) % 3 == 0:
+                series = _laurent_add(series, {(): {-2 * (a0 + c0): 1}})
+    terms = [  # (sign, numerator, the k of its factors D_k)
+        (1, laurent_mul(laurent_mul(jac, zeta2, 8 * g - 9), zeta3, 0), (1, 1, 2, 2, 3)),
+        (-1, laurent_mul(laurent_mul(jac, jac, 0), laurent_mul(jac, series, 0), 3 * g - 6),
+         (1, 1, 1, 6, 6)),
+    ]
+    for m0 in range(1, 7):
+        for residue, rank2_degree in ((-d, (2 * d - m0) // 3), (d, (2 * d + m0) // 3)):
+            if (m0 - residue) % 3 == 0:  # (1,2) for -d, (2,1) for d
+                num = laurent_mul(jac, rank2(rank2_degree), 2 * g - 3 - m0)
+                terms.append((-1, num, (1, 1, 1, 2, 6)))
+    den = Counter()
+    for _, _, ks in terms:
+        den |= Counter(ks)
+    total = {}
+    for sign, num, ks in terms:  # over the common denominator
+        for k in (den - Counter(ks)).elements():
+            num = _times_one_minus(num, k)
+        total = _laurent_add(total, num, sign)
+    den[1] -= 1  # (L - 1) = L·D_1
+    out = {}
+    for mono, f in total.items():
+        for k in den.elements():
+            f = over_one_minus(f, k)
+        q = {n + 1: c for n, c in f.items()}
+        if min(q, default=0) < 0:
+            raise ArithmeticError(f"[N(3, {d})] at genus {g} has L^{min(q)} on {mono}")
         out[mono] = q
     return out
 

@@ -10,7 +10,13 @@ from modulimotives import (
     sym_curve,
     zero,
 )
-from support import fixed_det_double_sum, hodge_realization_reference, tate_sum
+from support import (
+    fixed_det_double_sum,
+    hodge_realization_reference,
+    laurent_terms,
+    rank3_bundle_reference,
+    tate_sum,
+)
 
 
 def _display_class(g, parts):
@@ -149,3 +155,26 @@ class TestRealization:
     def test_realization_matches_the_term_by_term_reference(self, g):
         cls = bundle_motive_fixed_det(BundleSpec(g, 1))
         assert cls.hodge_realization() == hodge_realization_reference(cls)
+
+
+class TestHarderNarasimhanOracle:
+    """The varying-determinant class against :func:`support.rank3_bundle_reference`,
+    the Harder–Narasimhan recursion on plain dicts, which shares no arithmetic
+    with :mod:`modulimotives.bundles`."""
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    @pytest.mark.parametrize("d", [1, 2, -1])
+    def test_bundle_motive_matches_the_recursion(self, g, d):
+        assert laurent_terms(bundle_motive(BundleSpec(g, d))) == rank3_bundle_reference(g, d)
+
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_the_recursion_depends_on_d_only_through_coprimality(self, g):
+        # its strata depend on d mod 3 and the parities of the rank-2 degrees
+        assert rank3_bundle_reference(g, 1) == rank3_bundle_reference(g, 5)
+        assert rank3_bundle_reference(g, 2) == rank3_bundle_reference(g, -2)
+
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_a_degree_divisible_by_three_is_refused(self, g):
+        # strictly semistable bundles exist, so no polynomial class comes out
+        with pytest.raises(ArithmeticError):
+            rank3_bundle_reference(g, 3)

@@ -7,7 +7,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modulimotives import (
@@ -460,6 +460,70 @@ class TestPackedProduct:
     def test_genus_mismatch_in_a_sum_of_products(self):
         with pytest.raises(GenusMismatch):
             sum_of_products([(unit(2), unit(2)), (unit(3), unit(3))])
+        with pytest.raises(GenusMismatch):  # a class right factor is still checked
+            sum_of_products([(unit(2), L(1)), (sym_curve(2, 3), unit(3))])
+        with pytest.raises(GenusMismatch):
+            sum_of_products([(unit(2), L(1)), (unit(3), L(1))])
+
+
+def _right_factor(g):
+    """A class of genus ``g``, or an ``IntPoly`` (zero among them) with
+    coefficients up to 2^80 in absolute value."""
+    polys = st.lists(st.integers(-(2**80), 2**80), max_size=13).map(IntPoly)
+    return st.one_of(classes_strategy(g), polys, st.just(IntPoly.zero()))
+
+
+def _left_factor(g):
+    """A class of genus ``g``, or a Jacobian multiple of one."""
+    return st.one_of(classes_strategy(g), classes_strategy(g).map(lambda c: jacobian(g) * c))
+
+
+class TestPolynomialRightFactor:
+    """``sum_of_products`` takes an ``IntPoly`` right factor as the unit
+    monomial times it, next to class right factors in one list."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 4).flatmap(lambda g: st.lists(
+        st.tuples(_left_factor(g), _right_factor(g)), min_size=1, max_size=4
+    )))
+    def test_mixed_pairs_match_the_sum_of_references(self, pairs):
+        g = pairs[0][0].genus
+        expected = zero(g)
+        for a, b in pairs:
+            b = b if isinstance(b, MotiveClass) else from_tate_poly(g, b)
+            expected = expected + class_product_reference(a, b)
+        assert sum_of_products(pairs) == expected
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_zero_polynomial_and_a_jacobian_multiple(self, g):
+        jac_multiple = jacobian(g) * sym_curve(g, 2)
+        big = L(2**80, -(2**80), 3)
+        pairs = [(sym_curve(g, 3), IntPoly.zero()), (jac_multiple, big), (sym_curve(g, 1), big)]
+        expected = class_product_reference(jac_multiple, from_tate_poly(g, big))
+        expected = expected + class_product_reference(sym_curve(g, 1), from_tate_poly(g, big))
+        assert sum_of_products(pairs) == expected
+        assert sum_of_products([(sym_curve(g, 3), IntPoly.zero())]).is_zero()
+
+
+class TestNorm1:
+    """``MotiveClass._norm1``, read once and kept: the sum of ``||c||_1``."""
+
+    @staticmethod
+    def norm1(cls):
+        return sum(abs(c) for _, p in cls.items() for c in p.coeffs)
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_equals_the_recomputed_norm(self, g):
+        classes = [
+            sym_curve(g, 4), jacobian(g), zero(g),
+            jacobian(g) * sym_curve(g, 3),  # a Jacobian multiple, terms formed on read
+            sym_curve(g, 2) * sym_curve(g, 3),
+            MotiveClass(g, {(1,): L(-(2**80), 3)}) * (sym_curve(g, 1) - unit(g)),
+        ]
+        for cls in classes:
+            assert cls._norm1 == self.norm1(cls)
+            assert MotiveClass._norm1.__get__(cls) == cls._norm1  # kept in its slot
+        assert zero(g)._norm1 == 0
 
 
 class TestRingProperties:

@@ -30,6 +30,7 @@ from modulimotives.cli import main
 from modulimotives.motive import top_degree
 from modulimotives.pairs import pair_cofactor_flip, pair_cofactor_geo, pair_cofactor_sym
 from support import (
+    chamber_of_reference,
     conv,
     hodge_realization_reference,
     pair_flip_reference,
@@ -109,6 +110,35 @@ class TestChamberOf:
         for i in range(m + 1):
             midpoint = (bounds[i] + bounds[i + 1]) / 2
             assert chamber_of(midpoint, e) == i
+
+
+def _outcome(function, sigma, e):
+    """The index, or the type and message of the exception raised."""
+    try:
+        return function(sigma, e)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerChamberOf:
+    """``chamber_of`` in integers against the ``Fraction`` reference: the same
+    index, or the same exception type and message."""
+
+    @pytest.mark.parametrize("e", range(2, 61))
+    def test_a_grid_of_fractions(self, e):
+        for d in range(1, 13):
+            for n in range(-d, e * d // 2 + d + 1):
+                sigma = Fraction(n, d)
+                assert _outcome(chamber_of, sigma, e) == _outcome(chamber_of_reference, sigma, e)
+
+    def test_ints_far_points_and_bad_arguments(self):
+        cases = [(n, e) for e in (2, 3, 4, 9, 400) for n in range(-2, e // 2 + 3)]
+        cases += [(Fraction(n, d), 400) for n, d in ((1, 3), (399, 2), (401, 2), (200, 1),
+                  (79999, 400), (80001, 400), (1, 10**30), (-1, 10**30), (10**30, 10**29 * 5))]
+        cases += [(Fraction(1, 3), 1), (Fraction(1, 3), 0), (1, -4), (True, 5), (0.5, 5),
+                  (Fraction(1, 3), True), (Fraction(1, 3), 5.0)]
+        for sigma, e in cases:
+            assert _outcome(chamber_of, sigma, e) == _outcome(chamber_of_reference, sigma, e)
 
 
 class TestChamberSpec:

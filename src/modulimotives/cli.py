@@ -39,16 +39,21 @@ from .verify import SUITES, run_suite
 FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 
 # Ceilings on the inputs whose cost grows without bound.  On a 2-vCPU x86-64 host
-# (best of 7) the costliest query inside each took: at genus 30, ``higgs`` 1.1 s
-# as class-json, 0.9 s as diamond-json, 0.7 s with --mod-jac, ``bundles`` 0.45 s,
-# ``pairs`` 0.27 s at e = 400, chamber 199; ``verify --suite all`` 1.4 s at 12.
+# (best of 7) the costliest query inside each took: at genus 30, ``higgs`` 0.9 s
+# as class-json (0.88 s and an 84 MB peak in process), 0.9 s as diamond-json,
+# 0.7 s with --mod-jac, ``bundles`` 0.36 s as class-json (0.32 s and 68 MB in
+# process), ``pairs`` 0.27 s at e = 400, chamber 199; ``verify --suite all``
+# 1.4 s at 12.
 MAX_GENUS = 30
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 12
 
 
 def render_class(cls: MotiveClass, fmt: str) -> str:
-    """``cls`` in ``fmt``; diamond-text rows use one ``%d`` format, as ``"%d" % c == str(c)``."""
+    """``cls`` in ``fmt``.  class-json reads the class's sorted rows
+    (:meth:`~modulimotives.motive.MotiveClass.to_json_dict`), which a Jacobian
+    multiple takes straight from its closed-form expansion, with no ``IntPoly``
+    built; diamond-text rows use one ``%d`` format, as ``"%d" % c == str(c)``."""
     if fmt == "class-json":
         return json.dumps(cls.to_json_dict())
     if fmt == "poincare":

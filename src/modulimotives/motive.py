@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .polyring import BiPoly, IntPoly
 
@@ -151,12 +151,13 @@ class MotiveClass:
 
     def __getattr__(self, name: str) -> object:  # only for an unset slot
         """An ordinary class has no cofactor; a Jacobian multiple forms its terms in
-        closed form (:func:`_jacobian_terms`) and every class its 1-norm ``_norm1``,
+        closed form (:func:`_jacobian_rows`) and every class its 1-norm ``_norm1``,
         the sum of ``||c||_1`` over its terms, when first read."""
         if name == "_cofactor":
             return None
         if name == "_terms":
-            value = _jacobian_terms(self._cofactor)
+            rows = _jacobian_rows(self._cofactor)
+            value = {m: p for m, r in rows if (p := IntPoly._trusted(r))}
         elif name == "_norm1":
             value = sum(sum(map(abs, p.coeffs)) for p in self._terms.values())
         else:
@@ -185,6 +186,17 @@ class MotiveClass:
     def items(self) -> Iterator[tuple[SymMonomial, IntPoly]]:
         """Iterate ``(monomial, coefficient)`` sorted by monomial."""
         return iter(sorted(self._terms.items()))
+
+    def _rows(self) -> list[tuple[SymMonomial, list[int]]]:
+        """The terms as ``(monomial, coefficient list)`` rows sorted by monomial,
+        each without trailing zeros; a Jacobian multiple whose terms are not yet
+        formed reads them straight from its closed-form expansion
+        (:func:`_jacobian_rows`), with no ``IntPoly`` built."""
+        try:
+            terms = MotiveClass._terms.__get__(self)  # the slot, left unset by a multiple
+        except AttributeError:
+            return _nonzero_rows(_jacobian_rows(self._cofactor))
+        return [(m, list(p.coeffs)) for m, p in sorted(terms.items())]
 
     def monomials(self) -> list[SymMonomial]:
         return sorted(self._terms)
@@ -305,22 +317,19 @@ class MotiveClass:
         k-th digit sits at ``(d+k)·n + k`` of the row-major list and at
         ``k·n + d + k``, so two slices of step ``n + 1`` place the line."""
         g, cofactor = self._genus, self._cofactor
-        terms = (self if cofactor is None else cofactor)._terms.items()
+        source = self if cofactor is None else cofactor
+        terms = source._terms.items()
         bound = sum(max(map(abs, p.coeffs)) * _monomial_hodge_lines(g, m)[0] for m, p in terms)
         w = _width(bound if cofactor is None else 4**g * bound, cast=True)
-        lines: dict[int, int] = {}
+        lines = [0] * max((sum(m) + 1 for m in source._terms), default=0)  # d <= sum(m)
         for mono, poly in terms:
             packed = _pack(poly.coeffs, w)
             for d, q, h in _monomial_hodge_lines(g, mono)[1]:
-                lines[d] = lines.get(d, 0) + ((h * packed) << (w * q))
+                lines[d] += (h * packed) << (w * q)
         if cofactor is not None:
             lines = _times_jacobian(lines, g, w)
-        placed, n = [], 1
-        for d, row in zip(lines, _unpack_rows(list(lines.values()), w)):
-            digits = IntPoly._trusted(row).coeffs  # no trailing zeros
-            if digits:
-                placed.append((d, digits))
-                n = max(n, d + len(digits))
+        placed = _nonzero_rows(enumerate(_unpack_rows(lines, w)))
+        n = max((d + len(digits) for d, digits in placed), default=1)
         flat = [0] * (n * n)
         for d, digits in placed:
             span = len(digits) * (n + 1)
@@ -362,10 +371,7 @@ class MotiveClass:
         """Canonical JSON form: terms sorted by monomial, dense coefficients."""
         return {
             "genus": self._genus,
-            "terms": [
-                {"mono": list(mono), "coeffs": list(poly.coeffs)}
-                for mono, poly in self.items()
-            ],
+            "terms": [{"mono": list(mono), "coeffs": coeffs} for mono, coeffs in self._rows()],
         }
 
     @classmethod
@@ -397,23 +403,25 @@ class MotiveClass:
         return f"MotiveClass(g={self._genus}, " + " + ".join(parts) + ")"
 
 
-def _times_jacobian(lines: dict[int, int], g: int, w: int) -> dict[int, int]:
-    """The Hodge lines ``d >= 0`` at ``2^w`` times the Jacobian: times ``(1+u)^g``,
-    reading line ``-d`` as line ``d``, and then ``(1+v)^g``.  ``u^k`` takes line
-    ``d`` to ``d + k``, line ``-d`` to ``k - d``, ``d`` digits along, and ``v^l``
-    takes line ``d`` to ``d - l``, ``l`` digits along; no line below 0 is formed."""
+def _times_jacobian(lines: list[int], g: int, w: int) -> list[int]:
+    """The Hodge lines at ``2^w``, ``lines[d]`` for ``d >= 0``, times the Jacobian:
+    times ``(1+u)^g``, reading line ``-d`` as line ``d``, and then ``(1+v)^g``.
+    ``u^k`` takes line ``d`` to ``d + k``, line ``-d`` to ``k - d``, ``d`` digits
+    along, and ``v^l`` takes line ``d`` to ``d - l``, ``l`` digits along; no line
+    below 0 is formed, so the ``len(lines) + g`` lines out are indexed as the ones
+    in (all zero for a zero cofactor, whose ``lines`` is empty)."""
     binomials = [comb(g, k) for k in range(g + 1)]
-    mid: dict[int, int] = {}
-    for d, x in lines.items():
+    mid = [0] * (len(lines) + g)
+    for d, x in enumerate(lines):
         mirrored = x << (w * d)
         for k, c in enumerate(binomials):
-            mid[d + k] = mid.get(d + k, 0) + c * x
+            mid[d + k] += c * x
             if 0 < d <= k:
-                mid[k - d] = mid.get(k - d, 0) + c * mirrored
-    out: dict[int, int] = {}
-    for d, x in mid.items():
+                mid[k - d] += c * mirrored
+    out = [0] * len(mid)
+    for d, x in enumerate(mid):
         for c in binomials[: d + 1]:
-            out[d] = out.get(d, 0) + c * x
+            out[d] += c * x
             x, d = x << w, d - 1
     return out
 
@@ -434,12 +442,15 @@ def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass | IntPoly]]) -> M
         pairs[0][0]._check_genus(a)
         if isinstance(b, MotiveClass):
             a._check_genus(b)
-        b = b._terms if isinstance(b, MotiveClass) else {(): b} if b else {}
-        bound += a._norm1 * max((max(map(abs, p.coeffs)) for p in b.values()), default=0)
+            top = max((max(map(abs, p.coeffs)) for p in b._terms.values()), default=0)
+            b = b._terms.items()
+        else:
+            top, b = max(map(abs, b.coeffs), default=0), [((), b)] if b else []
+        bound += a._norm1 * top
         operands.append((a._terms, b))
     w = _width(bound)
     for a, b in operands:
-        packed = [(m, _pack(p.coeffs, w)) for m, p in b.items()]
+        packed = [(m, _pack(p.coeffs, w)) for m, p in b]
         for m1, p1 in a.items():
             x1 = _pack(p1.coeffs, w)
             for m2, x2 in packed:
@@ -449,11 +460,25 @@ def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass | IntPoly]]) -> M
     return MotiveClass._trusted(g, {m: IntPoly._trusted(r) for m, r in zip(sums, rows)})
 
 
-def _jacobian_terms(x: MotiveClass) -> dict[SymMonomial, IntPoly]:
+def _nonzero_rows(rows: Iterable[tuple[object, list[int]]]) -> list[tuple[object, list[int]]]:
+    """The ``(key, row)`` pairs, each decoded row stripped of its trailing zeros
+    in place, those left empty dropped."""
+    out = []
+    for key, row in rows:
+        while row and not row[-1]:
+            row.pop()
+        if row:
+            out.append((key, row))
+    return out
+
+
+def _jacobian_rows(x: MotiveClass) -> Iterator[tuple[SymMonomial, list[int]]]:
     """The terms of ``jacobian(g) * x`` by the closed form of :func:`jacobian`, with
-    no product: each term ``c·m`` of ``x``, packed once as ``y``, adds ``y`` (b = g)
-    or ``y + (y << w·(g-b))`` to ``m·S_b``.  An output digit sums at most two of
-    each ``c``, so ``w`` is the cast :func:`_width` of ``sum of ||c||_1``, ``x._norm1``."""
+    no product, as ``(monomial, digits)`` sorted by monomial, the digits maybe
+    ending in zeros (or all zero) for the reader to strip: each term ``c·m`` of
+    ``x``, packed once as ``y``, adds ``y`` (b = g) or ``y + (y << w·(g-b))`` to
+    ``m·S_b``.  An output digit sums at most two of each ``c``, so ``w`` is the
+    cast :func:`_width` of ``sum of ||c||_1``, ``x._norm1``."""
     g, sums = x._genus, {}
     w = _width(x._norm1, cast=True)
     for m, p in x._terms.items():
@@ -462,8 +487,8 @@ def _jacobian_terms(x: MotiveClass) -> dict[SymMonomial, IntPoly]:
             mono = tuple(sorted(m + (b,))) if b else m
             y = packed if b == g else packed + (packed << (w * (g - b)))
             sums[mono] = sums.get(mono, 0) + y
-    rows = _unpack_rows(list(sums.values()), w)
-    return {m: p for m, r in zip(sums, rows) if (p := IntPoly._trusted(r))}
+    monos = sorted(sums)
+    return zip(monos, _unpack_rows([sums[m] for m in monos], w))
 
 
 def check_effective(cls: MotiveClass, name: str) -> MotiveClass:
@@ -506,6 +531,7 @@ def from_tate_poly(g: int, poly: IntPoly) -> MotiveClass:
     return MotiveClass(g, {(): poly})
 
 
+@lru_cache(maxsize=None, typed=True)  # one class, and one 1-norm, per (g, b)
 def sym_h1(g: int, b: int) -> MotiveClass:
     """Normal form of the generator ``S_b`` for any b >= 0.
 

@@ -3,6 +3,7 @@ expanded product everywhere, and its realizations, the cofactor's realization
 times the Jacobian's in closed form, match the term-by-term references of the
 expanded class.  Any other class product is formed at once."""
 
+import json
 import operator
 
 import pytest
@@ -17,8 +18,10 @@ from modulimotives import (
     IntPoly,
     MotiveClass,
     bundle_motive,
+    bundle_motive_fixed_det,
     from_tate_poly,
     higgs_motive,
+    higgs_motive_mod_jac,
     jacobian,
     pair_motive_flip,
     pair_motive_geo,
@@ -193,13 +196,16 @@ class TestJacobianWidth:
 
 class TestJacobianTerms:
     """The terms of ``jacobian(g) * X`` formed in closed form (shift-adds of
-    ``X``'s packed terms, no product) against the pair-by-pair reference."""
+    ``X``'s packed terms, no product) against the pair-by-pair reference, as
+    sorted rows without trailing zeros and as the class's terms."""
 
     def assert_expands_like(self, x):
         expanded = class_product_reference(jacobian(x.genus), x)
-        assert motive_module._jacobian_terms(x) == expanded.as_dict()
+        rows = [(m, list(p.coeffs)) for m, p in expanded.items()]
         for cls in (jacobian(x.genus) * x, x * jacobian(x.genus)):
+            assert cls._rows() == rows  # from the expansion, no terms formed
             assert cls.as_dict() == expanded.as_dict()
+            assert cls._rows() == rows  # from the formed terms
             assert cls.to_json_dict() == expanded.to_json_dict()
 
     @given(st.integers(1, 4).flatmap(classes_strategy))
@@ -209,8 +215,20 @@ class TestJacobianTerms:
 
     @pytest.mark.parametrize("g", [1, 2, 5])
     def test_the_zero_class(self, g):
-        assert motive_module._jacobian_terms(zero(g)) == {}
+        assert list(motive_module._jacobian_rows(zero(g))) == []
         assert (jacobian(g) * zero(g)).is_zero() and (zero(g) * jacobian(g)).is_zero()
+
+    def test_formed_terms_are_read_not_expanded_again(self, monkeypatch):
+        cls = jacobian(3) * sym_curve(3, 2)
+        rows = cls._rows()
+        cls.as_dict()
+
+        def expanded(x):
+            raise AssertionError("the Jacobian product was expanded again")
+
+        monkeypatch.setattr(motive_module, "_jacobian_rows", expanded)
+        assert cls._rows() == rows
+        assert render_class(cls, "class-json") == json.dumps(cls.to_json_dict())
 
     def test_terms_that_cancel_are_dropped(self):
         # J = S_1 + 1 + L at g = 1, so J * (S_1 - 1 - L) = S_1^2 - (1 + L)^2
@@ -273,6 +291,66 @@ def test_higgs_and_bundle_classes(g):
         assert_realizes_like(cls, class_product_reference(jacobian(g), cofactor))
 
 
+EDGE_CLASSES = [
+    pytest.param(lambda: zero(3), id="zero"),
+    pytest.param(
+        lambda: MotiveClass(2, {(2,): IntPoly([12, -(2**82), 20]), (1, 1): IntPoly([-3, 2**80, -5])}),
+        id="lines-cancel",
+    ),
+    pytest.param(
+        lambda: pair_cofactor_flip(ChamberSpec(4, 11, 5)) - pair_cofactor_flip(ChamberSpec(4, 11, 2)),
+        id="top-rows-cancel",
+    ),
+    pytest.param(lambda: MotiveClass(1, {(1,): IntPoly([2**80, -(2**80)])}), id="g1"),
+    pytest.param(lambda: MotiveClass(1, {(1,): IntPoly([1]), (): IntPoly([-1, -1])}), id="terms-cancel"),
+]
+
+
+class TestClassJsonWriter:
+    """class-json of a Jacobian multiple, rendered from its closed-form rows
+    before its terms are ever formed, is ``json.dumps`` of ``to_json_dict`` of
+    the product expanded pair by pair, or by :func:`sum_of_products`."""
+
+    def assert_writes_like(self, x):
+        expected = json.dumps(class_product_reference(jacobian(x.genus), x).to_json_dict())
+        for cls in (jacobian(x.genus) * x, x * jacobian(x.genus)):
+            assert render_class(cls, "class-json") == expected
+
+    @staticmethod
+    def assert_renders_expanded(cls):
+        expanded = cls
+        if cls._cofactor is not None:
+            expanded = motive_module.sum_of_products([(jacobian(cls.genus), cls._cofactor)])
+        assert render_class(cls, "class-json") == json.dumps(expanded.to_json_dict())
+
+    @given(st.integers(1, 4).flatmap(classes_strategy))
+    def test_classes_on_either_side(self, x):
+        self.assert_writes_like(x)
+
+    @pytest.mark.parametrize("make", EDGE_CLASSES)
+    def test_edge_classes(self, make):
+        self.assert_writes_like(make())
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_every_pair_chamber_by_each_route(self, g):
+        for spec in chamber_specs(g):
+            routes = [pair_motive_flip]
+            if spec.e <= 4 * g - 5:
+                routes.append(pair_motive_geo)
+            if g >= 2 and spec.i < spec.e // 2 <= 2 * g - 3:
+                routes.append(pair_motive_sym)
+            for route in routes:
+                self.assert_renders_expanded(route(spec))
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_bundle_and_higgs_classes(self, g):
+        for d in (1, 2, -1):
+            for build in (bundle_motive, bundle_motive_fixed_det):
+                self.assert_renders_expanded(build(BundleSpec(g, d)))
+            for build in (higgs_motive, higgs_motive_mod_jac):
+                self.assert_renders_expanded(build(HiggsSpec(g, d)))
+
+
 class TestRenderingKeepsTheFactors:
     """Rendering a realization of a pair, Higgs or bundle class never forms
     ``jacobian * cofactor``; only ``class-json`` does, in closed form."""
@@ -289,7 +367,7 @@ class TestRenderingKeepsTheFactors:
                 expanded()
             return products(pairs)
 
-        monkeypatch.setattr(motive_module, "_jacobian_terms", expanded)
+        monkeypatch.setattr(motive_module, "_jacobian_rows", expanded)
         monkeypatch.setattr(motive_module, "sum_of_products", guard)
 
     @pytest.mark.parametrize(

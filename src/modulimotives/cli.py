@@ -42,8 +42,8 @@ FORMATS = ("class-json", "poincare", "diamond-text", "diamond-json")
 # (best of 7) the costliest query inside each took: at genus 30, ``higgs`` 0.9 s
 # as class-json (0.88 s and an 84 MB peak in process), 0.9 s as diamond-json,
 # 0.7 s with --mod-jac, ``bundles`` 0.36 s as class-json (0.32 s and 68 MB in
-# process), ``pairs`` 0.27 s at e = 400, chamber 199; ``verify --suite all``
-# 1.4 s at 12.
+# process), ``pairs`` 0.23 s as diamond-json at e = 400, chamber 199 (0.11 s in
+# process); ``verify --suite all`` 1.4 s at 12.
 MAX_GENUS = 30
 MAX_PAIR_DEGREE = 400
 MAX_VERIFY_GENUS = 12

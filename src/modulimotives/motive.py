@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator, Mapping
 
-from .polyring import BiPoly, IntPoly
+from .polyring import BiPoly, IntPoly, NonExactDivision
 
 #: A formal product of generators S_b, stored as a sorted tuple of indices
 #: in [1, g].  The empty tuple is the ring unit.
@@ -426,21 +426,23 @@ def _times_jacobian(lines: list[int], g: int, w: int) -> list[int]:
     return out
 
 
-def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass | IntPoly]]) -> MotiveClass:
-    """The sum of ``a * b`` over a nonempty list of pairs, expanded: the one
-    expansion of class products.  The ``a`` are classes of one genus, and each
-    ``b`` a class of it or an ``IntPoly`` in ``L``, read with no class built.
-
-    Each coefficient polynomial is packed into one int at ``2^w`` (Kronecker
-    substitution), each pair of monomials costs one int product, and each
-    output monomial is unpacked once as signed digits.  With ``w`` the
-    :func:`_width` of the summed bound ``sum of ||a||_1 * ||b||_inf``, ``||a||_1``
-    read as ``a._norm1``, the digits are exact: for a fixed pair, output monomial
-    and power of ``L``, each coefficient of ``a`` meets at most one of ``b``."""
-    g, bound, sums, operands = pairs[0][0].genus, 0, {}, []
+def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass | IntPoly | tuple]]) -> MotiveClass:
+    """The sum of ``a * b`` over a nonempty list of pairs, expanded: the one expansion of
+    class products.  The ``a`` are classes of one genus; each ``b`` is a class of it, an
+    ``IntPoly`` in ``L`` or a block ``(hi, lo)``, ``(L^hi - L^lo) / (L - 1)`` of any sign,
+    read with no class built.  Each polynomial is packed into one int at ``2^w`` (Kronecker
+    substitution), each pair of monomials costs one int product (a block: ``(x << w·hi) -
+    (x << w·lo)`` for a packed ``x``), and each output monomial is unpacked once as signed
+    digits, exact for ``w`` the :func:`_width` of ``sum of ||a||_1 * ||b||_inf`` (``a._norm1``;
+    at most 1 for a block): per pair, output monomial and power of ``L``, a coefficient of
+    ``a`` meets at most one of ``b``.  With a block, each other ``b`` is scaled by ``2^w - 1``
+    and each sum divided by it once, a remainder raising ``NonExactDivision``."""
+    g, bound, sums, operands, over = pairs[0][0].genus, 0, {}, [], False
     for a, b in pairs:
         pairs[0][0]._check_genus(a)
-        if isinstance(b, MotiveClass):
+        if isinstance(b, tuple):
+            top, over = int(b[0] != b[1]), True
+        elif isinstance(b, MotiveClass):
             a._check_genus(b)
             top = max((max(map(abs, p.coeffs)) for p in b._terms.values()), default=0)
             b = b._terms.items()
@@ -449,15 +451,29 @@ def sum_of_products(pairs: list[tuple[MotiveClass, MotiveClass | IntPoly]]) -> M
         bound += a._norm1 * top
         operands.append((a._terms, b))
     w = _width(bound)
+    scale = (1 << w) - 1 if over else 1
     for a, b in operands:
-        packed = [(m, _pack(p.coeffs, w)) for m, p in b]
+        block = isinstance(b, tuple)
+        packed = [] if block else [(m, _pack(p.coeffs, w) * scale) for m, p in b]
         for m1, p1 in a.items():
             x1 = _pack(p1.coeffs, w)
+            if block:
+                sums[m1] = sums.get(m1, 0) + (x1 << w * b[0]) - (x1 << w * b[1])
             for m2, x2 in packed:
                 mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
                 sums[mono] = sums.get(mono, 0) + x1 * x2
+    if over:
+        sums = {m: _over_base_minus_one(x, w) for m, x in sums.items()}
     rows = _unpack_rows(list(sums.values()), w)
     return MotiveClass._trusted(g, {m: IntPoly._trusted(r) for m, r in zip(sums, rows)})
+
+
+def _over_base_minus_one(x: int, w: int) -> int:
+    """``x`` packed at ``L = 2^w`` over ``L - 1``, or :class:`NonExactDivision`."""
+    quotient, rest = divmod(x, (1 << w) - 1)
+    if rest:
+        raise NonExactDivision(f"L - 1 does not divide a packed numerator at 2^{w}")
+    return quotient
 
 
 def _nonzero_rows(rows: Iterable[tuple[object, list[int]]]) -> list[tuple[object, list[int]]]:

@@ -20,7 +20,7 @@ with the Jacobian in closed form and is effective as both factors are:
       class(i-th chamber) = sum over j <= i of
           jacobian * sym_curve(j) * (L^(e+g-2j-1) - L^j) / (L - 1),
 
-  with the fraction expanded as a geometric block.  When
+  the fraction a block ``(e+g-2j-1, j)``, its numerator summed packed.  When
   ``3j > e + g - 1`` the block is genuinely negative (the flip shrinks that
   stratum); the total is nonetheless effective and this is checked.
 
@@ -31,7 +31,7 @@ with the Jacobian in closed form and is effective as both factors are:
   cofactor's effectivity check covers.
 
 * :func:`pair_motive_geo` -- a closed form in terms of symmetric powers of
-  the curve, its Jacobian and projective spaces only.
+  the curve, its Jacobian and projective spaces (blocks, as in flip) only.
 
 The flip route is the trusted oracle (it is derived directly from the flip
 description with no rearrangement); the sweep suites verify the two closed
@@ -124,17 +124,16 @@ def pair_dimension(spec: ChamberSpec) -> int:
     return spec.e + 2 * spec.g - 2
 
 
-def _pair_cofactor(spec: ChamberSpec, terms: list[tuple[MotiveClass, IntPoly]]) -> MotiveClass:
-    """One packed sum of the terms, each a class times a polynomial in ``L`` that
+def _pair_cofactor(spec: ChamberSpec, terms: list[tuple]) -> MotiveClass:
+    """One packed sum of the terms, each a class times a polynomial in ``L`` or a block
+    ``(hi, lo)``, ``(L^hi - L^lo) / (L - 1)`` unexpanded, that
     :func:`~modulimotives.motive.sum_of_products` takes as it is; checked effective."""
     return check_effective(sum_of_products(terms), f"pair class for {spec}")
 
 
-def _flip_block(g: int, e: int, j: int) -> IntPoly:
-    # (L^(e+g-2j-1) - L^j) / (L - 1), expanded exactly; negative when
-    # e+g-2j-1 < j, empty when equal.
-    hi = e + g - 2 * j - 1
-    return IntPoly.geometric(j, hi - 1) if hi >= j else -IntPoly.geometric(hi, j - 1)
+def _flip_block(g: int, e: int, j: int) -> tuple[int, int]:
+    # (L^(e+g-2j-1) - L^j) / (L - 1) as a block: negative when e+g-2j-1 < j, empty when equal
+    return e + g - 2 * j - 1, j
 
 
 @lru_cache(maxsize=None)
@@ -241,8 +240,8 @@ def pair_cofactor_geo(spec: ChamberSpec) -> MotiveClass:
     if not e <= 4 * g - 5:
         raise HypothesisViolation(f"need e <= 4g-5, got e={e}, g={g}")
 
-    def proj(k: int, n: int) -> IntPoly:  # projective_space(n) * L^k
-        return IntPoly.geometric(k, k + n)
+    def proj(k: int, n: int) -> tuple[int, int]:  # projective_space(n) * L^k, a block
+        return k + n + 1, k
 
     if 3 * i < e + g:
         terms = [(sym_curve(g, k), proj(k, e + g - 3 * k - 2)) for k in range(i + 1)]
@@ -251,8 +250,8 @@ def pair_cofactor_geo(spec: ChamberSpec) -> MotiveClass:
         terms = [(sym_curve(g, g - 1), proj(g - 1, n))]
         terms += [(sym_curve(g, k), proj(k, e + g - 3 * k - 2)) for k in range(2 * g - 2 - i)]
         terms += [
-            (sym_curve(g, k), proj(3 * g - 3 - 2 * k, n) + proj(k, n))
-            for k in range(2 * g - 2 - i, g - 1)
+            (sym_curve(g, k), proj(twist, n))
+            for k in range(2 * g - 2 - i, g - 1) for twist in (3 * g - 3 - 2 * k, k)
         ]
         terms.append((jacobian(g), sym_coeff_poly(g, i, e, g)))
     return _pair_cofactor(spec, terms)

@@ -3,9 +3,9 @@
 Every coefficient is a Python int, so all arithmetic is arbitrary-precision
 and exact.  There is deliberately no rational-function type anywhere in this
 package: quotients that are known to be polynomials are produced by synthetic
-long division with an explicit remainder check (:func:`exact_div`), and
-fractions of the shape ``(T^a - T^b) / (T - 1)`` are expanded directly as
-geometric sums (:meth:`IntPoly.geometric`).
+long division with an explicit remainder check (:func:`exact_div`), and a
+fraction ``(T^a - T^b) / (T - 1)`` is a geometric sum (:meth:`IntPoly.geometric`)
+or, on the pair path, a numerator that ``sum_of_products`` divides once, packed.
 
 ``IntPoly`` is dense (degrees stay small in this package), ``BiPoly`` is a
 sparse exponent map.  Both are immutable value types and safe to share.

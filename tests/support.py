@@ -211,6 +211,20 @@ def pair_sym_reference(spec: ChamberSpec) -> MotiveClass:
     return jacobian(g) * acc
 
 
+def pair_sym_unfolded(spec: ChamberSpec) -> MotiveClass:
+    """The pair cofactor as the plain sum of ``sym_h1(g, b) * sym_coeff_poly(g, i,
+    e, b)`` over ``b = 0 .. i``, with no route hypothesis: it holds in every
+    chamber with ``g >= 2``, past ``e = 4g - 5`` too, where neither closed route
+    applies.  This is an arithmetic second route, not a geometric one: the flip
+    sum with its two sums swapped and the inner one in closed form.  One
+    class-by-polynomial product and one class add per term, no packed sum."""
+    g, e, i = spec.g, spec.e, spec.i
+    acc = zero(g)
+    for b in range(i + 1):
+        acc = acc + sym_h1(g, b) * sym_coeff_poly(g, i, e, b)
+    return acc
+
+
 def fixed_det_double_sum(g: int) -> MotiveClass:
     """The fixed-determinant rank-3 bundle class as the unfactored double sum
     of the :mod:`modulimotives.bundles` docstring, one product per term."""

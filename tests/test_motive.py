@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modulimotives.motive as motive_module
 from modulimotives import (
     BiPoly,
+    ChamberSpec,
     GenusMismatch,
     IntPoly,
     MotiveClass,
+    NonExactDivision,
     chamber_of,
     chambers,
     folded_coeff_poly,
@@ -29,7 +32,9 @@ from modulimotives import (
     unit,
     zero,
 )
+from modulimotives.cli import main
 from modulimotives.motive import sum_of_products, top_degree
+from modulimotives.pairs import pair_cofactor_flip, pair_cofactor_geo
 from support import (
     class_product_reference,
     classes_strategy,
@@ -503,6 +508,107 @@ class TestPolynomialRightFactor:
         expected = expected + class_product_reference(sym_curve(g, 1), from_tate_poly(g, big))
         assert sum_of_products(pairs) == expected
         assert sum_of_products([(sym_curve(g, 3), IntPoly.zero())]).is_zero()
+
+
+def _expanded(block):
+    """A block ``(hi, lo)`` as the ``IntPoly`` ``(L^hi - L^lo) / (L - 1)``."""
+    hi, lo = block
+    return IntPoly.geometric(lo, hi - 1) if hi >= lo else -IntPoly.geometric(hi, lo - 1)
+
+
+# blocks of every shape: any, hi < lo, hi == lo (empty) and lo == 0
+_exponents = st.integers(0, 14)
+_blocks = st.one_of(
+    st.tuples(_exponents, _exponents),
+    st.tuples(_exponents, _exponents).map(lambda b: (min(b), max(b) + 1)),
+    _exponents.map(lambda n: (n, n)),
+    _exponents.map(lambda n: (n, 0)),
+)
+
+
+def _block_left_factor(g):
+    """A class of genus ``g`` (zero among them), a Jacobian multiple of one, or
+    a class with coefficients of ``±2^80``."""
+    big = MotiveClass(g, {(): L(2**80, -(2**80)), (1,): L(-(2**80))})
+    return st.one_of(_left_factor(g), st.just(big))
+
+
+class TestBlockRightFactor:
+    """``sum_of_products`` takes a block ``(hi, lo)``, ``(L^hi - L^lo) / (L - 1)``,
+    as a right factor: a sum that holds one is summed as numerators over ``L - 1``
+    and divided once a monomial."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 4).flatmap(lambda g: st.lists(
+        st.tuples(_block_left_factor(g), st.one_of(_blocks, _right_factor(g))),
+        min_size=1, max_size=5,
+    )))
+    def test_mixed_pairs_match_the_expanded_blocks_term_by_term(self, pairs):
+        g = pairs[0][0].genus
+        expected = zero(g)
+        for a, b in pairs:
+            if isinstance(b, tuple):
+                b = _expanded(b)
+            b = b if isinstance(b, MotiveClass) else from_tate_poly(g, b)
+            expected = expected + class_product_reference(a, b)
+        assert sum_of_products(pairs) == expected
+
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_blocks_of_every_shape(self, g):
+        for block in [(5, 2), (2, 5), (4, 4), (0, 0), (3, 0), (0, 3), (9, 8)]:
+            for a in (sym_curve(g, 3), jacobian(g) * sym_curve(g, 2), zero(g)):
+                expected = class_product_reference(a, from_tate_poly(g, _expanded(block)))
+                assert sum_of_products([(a, block)]) == expected, (block, a)
+
+    def test_no_geometric_block_is_expanded_on_the_flip_or_geo_route(self, monkeypatch):
+        def refused(cls, low, high):
+            raise AssertionError("IntPoly.geometric ran on the pair path")
+
+        monkeypatch.setattr(IntPoly, "geometric", classmethod(refused))
+        pair_cofactor_flip.cache_clear()
+        try:
+            for g in range(2, 6):  # both geo branches, negative and empty flip blocks
+                for e in range(2, 4 * g - 4):
+                    for i in range((e - 1) // 2 + 1):
+                        spec = ChamberSpec(g=g, e=e, i=i)
+                        assert pair_cofactor_flip(spec) == pair_cofactor_geo(spec)
+        finally:
+            pair_cofactor_flip.cache_clear()
+
+    def test_the_one_division_is_exact(self):
+        for w in (2, 3, 8, 31, 64, 65):
+            for q in (0, 1, -1, 5 << (3 * w), -(2**200) + 7):
+                assert motive_module._over_base_minus_one(q * ((1 << w) - 1), w) == q
+            with pytest.raises(NonExactDivision, match="L - 1 does not divide"):
+                motive_module._over_base_minus_one((1 << w) + 1, w)
+
+    @pytest.fixture
+    def numerator_off_by_one(self, monkeypatch):
+        """Every numerator that reaches the division one more than summed: one
+        that ``L - 1`` does not divide."""
+        exact = motive_module._over_base_minus_one
+        monkeypatch.setattr(motive_module, "_over_base_minus_one", lambda x, w: exact(x + 1, w))
+        pair_cofactor_flip.cache_clear()
+        yield
+        pair_cofactor_flip.cache_clear()
+
+    def test_a_numerator_l_minus_one_does_not_divide_raises(self, numerator_off_by_one):
+        with pytest.raises(NonExactDivision, match="L - 1 does not divide"):
+            sum_of_products([(sym_curve(2, 3), (5, 1))])
+        with pytest.raises(NonExactDivision):
+            pair_cofactor_flip(ChamberSpec(g=2, e=3, i=1))
+        # a sum with no block divides nothing
+        assert sum_of_products([(sym_curve(2, 3), L(1, 1))]) == sym_curve(2, 3) * L(1, 1)
+
+    def test_the_cli_reports_an_inexact_division_as_an_internal_error(
+        self, capsys, numerator_off_by_one
+    ):
+        for method in ("flip", "geo"):
+            code = main(["pairs", "--genus", "2", "--e", "3", "--chamber", "1", "--method", method])
+            out, err = capsys.readouterr()
+            assert code == 3 and not out, method
+            assert err.startswith("internal error: L - 1 does not divide"), method
+            assert err.count("\n") == 1, method
 
 
 class TestNorm1:

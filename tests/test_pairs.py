@@ -2,6 +2,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modulimotives.pairs as pairs_module
 import modulimotives.verify as verify_module
@@ -36,6 +38,7 @@ from support import (
     pair_flip_reference,
     pair_geo_reference,
     pair_sym_reference,
+    pair_sym_unfolded,
     poincare_reference,
 )
 
@@ -193,8 +196,10 @@ class TestFlipRoute:
         previous = pair_motive_flip(ChamberSpec(g=4, e=11, i=4))
         assert not (cls - previous).is_effective()
 
-    # every e <= 4g-5 for g <= 6, and e up to 40 at g = 3
-    @pytest.mark.parametrize("g,top", [(2, 3), (3, 7), (4, 11), (5, 15), (6, 19), (3, 40)])
+    # every e <= 4g-5 for g <= 6, and e up to 40 at g = 3 and at g = 1
+    @pytest.mark.parametrize(
+        "g,top", [(2, 3), (3, 7), (4, 11), (5, 15), (6, 19), (3, 40), (1, 40)]
+    )
     def test_packed_sum_matches_the_wall_by_wall_reference(self, g, top):
         for e in range(2, top + 1):
             for i in range((e - 1) // 2 + 1):
@@ -461,11 +466,32 @@ class TestCofactors:
 
     def test_a_negative_flip_block_raises_naming_the_spec(self, monkeypatch, fresh_caches):
         block = pairs_module._flip_block
-        monkeypatch.setattr(pairs_module, "_flip_block", lambda g, e, j: -block(g, e, j))
+        monkeypatch.setattr(pairs_module, "_flip_block", lambda g, e, j: block(g, e, j)[::-1])
         spec = ChamberSpec(g=3, e=4, i=1)
         message = re.escape(f"pair class for {spec} has a negative coefficient")
         with pytest.raises(ArithmeticError, match=message):
             pair_cofactor_flip(spec)
+
+
+class TestSymUnfolded:
+    """The flip cofactor against the plain ``S_b`` sum of
+    :func:`support.pair_sym_unfolded`, chambers past ``e = 4g - 5`` among them:
+    no closed route reaches those, and there flip's packed sum divides by
+    ``L - 1`` longest."""
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_every_chamber_below_4g_plus_30(self, g):
+        for e in range(2, 4 * g + 30):
+            for i in range((e - 1) // 2 + 1):
+                spec = ChamberSpec(g=g, e=e, i=i)
+                assert pair_cofactor_flip(spec) == pair_sym_unfolded(spec), spec
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(2, 30).flatmap(lambda g: st.integers(2, 400).flatmap(
+        lambda e: st.builds(ChamberSpec, st.just(g), st.just(e), st.integers(0, (e - 1) // 2))
+    )))
+    def test_a_sample_of_chambers_up_to_e_400(self, spec):
+        assert pair_cofactor_flip(spec) == pair_sym_unfolded(spec)
 
 
 class TestHodgeSymmetry:

@@ -3,7 +3,7 @@
 The package computes, with exact integer arithmetic throughout, classes in
 the Grothendieck ring of motives generated by a smooth projective curve of
 genus g: moduli of semistable rank-3 vector bundles of coprime degree,
-moduli of rank-2 pairs in every stability chamber (by three independent
+moduli of rank-2 pairs in every stability chamber (by three formula
 routes), and moduli of rank-3 Higgs bundles assembled from the fixed locus
 of the scaling action.  Classes realize to Hodge-number matrices and
 Poincare polynomials.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .polyring import BiPoly, IntPoly, NonExactDivision
 
@@ -99,14 +99,15 @@ def _width(bound: int, cast: bool = False) -> int:
 
 
 def _unpack_rows(xs: list[int], w: int) -> list[list[int]]:
-    """Each ``x`` in ``xs`` as the signed base-``2^w`` digits, below ``2^(w-1)`` in
-    absolute value and lowest first, that :func:`_pack` took; the top one outweighs
-    the rest, so ``|x|.bit_length() // w + 1`` digits (maybe ending in zeros) hold
-    them.  At a C-int ``w``, adding and XORing ``2^(w-1)`` a slot leaves the digits'
-    two's complements, and one cast reads the bytes of all rows."""
-    counts = [abs(x).bit_length() // w + 1 for x in xs]
+    """The signed base-``2^w`` digits of each ``x`` in ``xs``, below ``2^(w-1)`` in
+    absolute value and lowest first: exactly the coefficients :func:`_pack` took,
+    less trailing zeros, so a row ends in a nonzero digit and 0 has none.  The top
+    digit outweighs the rest, so a nonzero ``x`` has ``|x|.bit_length() // w + 1``.
+    At a C-int ``w``, adding and XORing ``2^(w-1)`` a slot leaves the digits' two's
+    complements, and one cast reads the bytes of all rows, each in ``n >= 1`` slots."""
+    counts = [abs(x).bit_length() // w + 1 if x else 0 for x in xs]
     if w in (8, 16, 32, 64) and sys.byteorder == "little":  # the layout the cast reads
-        n = max(counts, default=1)
+        n = max(counts, default=0) or 1
         bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
         data = b"".join([((x + bias) ^ bias).to_bytes(n * w // 8, "little") for x in xs])
         flat = memoryview(data).cast({8: "b", 16: "h", 32: "i", 64: "q"}[w]).tolist()
@@ -156,8 +157,7 @@ class MotiveClass:
         if name == "_cofactor":
             return None
         if name == "_terms":
-            rows = _jacobian_rows(self._cofactor)
-            value = {m: p for m, r in rows if (p := IntPoly._trusted(r))}
+            value = {m: IntPoly._trusted(r) for m, r in _jacobian_rows(self._cofactor)}
         elif name == "_norm1":
             value = sum(sum(map(abs, p.coeffs)) for p in self._terms.values())
         else:
@@ -188,14 +188,13 @@ class MotiveClass:
         return iter(sorted(self._terms.items()))
 
     def _rows(self) -> list[tuple[SymMonomial, list[int]]]:
-        """The terms as ``(monomial, coefficient list)`` rows sorted by monomial,
-        each without trailing zeros; a Jacobian multiple whose terms are not yet
-        formed reads them straight from its closed-form expansion
-        (:func:`_jacobian_rows`), with no ``IntPoly`` built."""
+        """The terms as ``(monomial, coefficient list)`` rows sorted by monomial; a
+        Jacobian multiple whose terms are not yet formed reads them straight from its
+        closed-form expansion (:func:`_jacobian_rows`), with no ``IntPoly`` built."""
         try:
             terms = MotiveClass._terms.__get__(self)  # the slot, left unset by a multiple
         except AttributeError:
-            return _nonzero_rows(_jacobian_rows(self._cofactor))
+            return _jacobian_rows(self._cofactor)
         return [(m, list(p.coeffs)) for m, p in sorted(terms.items())]
 
     def monomials(self) -> list[SymMonomial]:
@@ -312,10 +311,10 @@ class MotiveClass:
         :func:`_width` of the sum of ``max|c_k| * max|h|``, times ``4^g`` (the
         Jacobian's coefficient sum) where the Jacobian factor is applied in
         closed form to the cofactor's lines (:func:`_times_jacobian`).
-        Line ``d >= 0`` starts at ``(d, 0)`` and its mirror at ``(0, d)``; without
-        trailing zeros they span ``n = max(d + len)`` rows and columns, and the
-        k-th digit sits at ``(d+k)·n + k`` of the row-major list and at
-        ``k·n + d + k``, so two slices of step ``n + 1`` place the line."""
+        Line ``d >= 0`` starts at ``(d, 0)`` and its mirror at ``(0, d)``; the
+        nonzero lines span ``n = max(d + len)`` rows and columns, and the k-th digit
+        sits at ``(d+k)·n + k`` of the row-major list and at ``k·n + d + k``, so two
+        slices of step ``n + 1`` place the line."""
         g, cofactor = self._genus, self._cofactor
         source = self if cofactor is None else cofactor
         terms = source._terms.items()
@@ -328,7 +327,7 @@ class MotiveClass:
                 lines[d] += (h * packed) << (w * q)
         if cofactor is not None:
             lines = _times_jacobian(lines, g, w)
-        placed = _nonzero_rows(enumerate(_unpack_rows(lines, w)))
+        placed = [(d, digits) for d, digits in enumerate(_unpack_rows(lines, w)) if digits]
         n = max((d + len(digits) for d, digits in placed), default=1)
         flat = [0] * (n * n)
         for d, digits in placed:
@@ -476,25 +475,13 @@ def _over_base_minus_one(x: int, w: int) -> int:
     return quotient
 
 
-def _nonzero_rows(rows: Iterable[tuple[object, list[int]]]) -> list[tuple[object, list[int]]]:
-    """The ``(key, row)`` pairs, each decoded row stripped of its trailing zeros
-    in place, those left empty dropped."""
-    out = []
-    for key, row in rows:
-        while row and not row[-1]:
-            row.pop()
-        if row:
-            out.append((key, row))
-    return out
-
-
-def _jacobian_rows(x: MotiveClass) -> Iterator[tuple[SymMonomial, list[int]]]:
+def _jacobian_rows(x: MotiveClass) -> list[tuple[SymMonomial, list[int]]]:
     """The terms of ``jacobian(g) * x`` by the closed form of :func:`jacobian`, with
-    no product, as ``(monomial, digits)`` sorted by monomial, the digits maybe
-    ending in zeros (or all zero) for the reader to strip: each term ``c·m`` of
-    ``x``, packed once as ``y``, adds ``y`` (b = g) or ``y + (y << w·(g-b))`` to
-    ``m·S_b``.  An output digit sums at most two of each ``c``, so ``w`` is the
-    cast :func:`_width` of ``sum of ||c||_1``, ``x._norm1``."""
+    no product, as exact ``(monomial, digits)`` rows sorted by monomial: each term
+    ``c·m`` of ``x``, packed once as ``y``, adds ``y`` (b = g) or ``y + (y << w·(g-b))``
+    to ``m·S_b``, and a monomial whose sum is 0 is skipped.  An output digit sums at
+    most two of each ``c``, so ``w`` is the cast :func:`_width` of ``sum of ||c||_1``,
+    ``x._norm1``."""
     g, sums = x._genus, {}
     w = _width(x._norm1, cast=True)
     for m, p in x._terms.items():
@@ -503,8 +490,8 @@ def _jacobian_rows(x: MotiveClass) -> Iterator[tuple[SymMonomial, list[int]]]:
             mono = tuple(sorted(m + (b,))) if b else m
             y = packed if b == g else packed + (packed << (w * (g - b)))
             sums[mono] = sums.get(mono, 0) + y
-    monos = sorted(sums)
-    return zip(monos, _unpack_rows([sums[m] for m in monos], w))
+    monos = sorted(m for m, y in sums.items() if y)
+    return list(zip(monos, _unpack_rows([sums[m] for m in monos], w)))
 
 
 def check_effective(cls: MotiveClass, name: str) -> MotiveClass:

@@ -6,8 +6,8 @@ breaks into chambers separated by the walls ``sigma_i = e/2 - i`` for
 is constant in the chamber ``C_i = (sigma_(i+1), sigma_i)`` and is smooth of
 dimension ``e + 2g - 2``.
 
-Every pair class is ``jacobian`` times a cofactor.  Three independent routes
-compute the cofactor ``pair_cofactor_*`` as a list of terms (a class times a
+Every pair class is ``jacobian`` times a cofactor.  Three routes compute the
+cofactor ``pair_cofactor_*`` as a list of terms (a class times a
 polynomial in ``L``) fed to one builder, which sums them in one packed product
 and checks the result effective; ``pair_motive_*`` returns
 ``jacobian(g) * cofactor``, a class that keeps its cofactor, so it realizes
@@ -32,6 +32,8 @@ with the Jacobian in closed form and is effective as both factors are:
 
 * :func:`pair_motive_geo` -- a closed form in terms of symmetric powers of
   the curve, its Jacobian and projective spaces (blocks, as in flip) only.
+  Where ``3i < e + g`` it is the flip sum term for term, so it is a second
+  formula only in the chambers past that.
 
 The flip route is the trusted oracle (it is derived directly from the flip
 description with no rearrangement); the sweep suites verify the two closed
@@ -187,9 +189,7 @@ def folded_coeff_poly(g: int, i: int, e: int, b: int) -> IntPoly:
             f"need e+g-1-2i < b <= i < floor(e/2) <= 2g-3, "
             f"got g={g}, i={i}, e={e}, b={b}"
         )
-    result = IntPoly.monomial(b - g) * sym_coeff_poly(g, i, e, b) + sym_coeff_poly(
-        g, i, e, 2 * g - b
-    )
+    result = sym_coeff_poly(g, i, e, b).shift(b - g) + sym_coeff_poly(g, i, e, 2 * g - b)
     if not result.is_nonneg():
         raise ArithmeticError(
             f"folded coefficient polynomial for g={g}, i={i}, e={e}, b={b} "
@@ -232,9 +232,11 @@ def pair_cofactor_geo(spec: ChamberSpec) -> MotiveClass:
         sum over k = 0..i of
             sym_curve(k) * projective_space(e+g-3k-2) * L^k
 
-    (a term is empty when the projective-space dimension is -1); for
-    ``3i >= e+g`` the rearranged four-part sum applies, whose Tate factor on
-    the Jacobian-squared term is :func:`sym_coeff_poly` at ``b = g``.
+    (a term is empty when the projective-space dimension is -1): the k-th term
+    is flip's wall block :func:`_flip_block` at ``j = k``, so this form is the
+    flip sum term for term.  For ``3i >= e+g`` the rearranged four-part sum
+    applies, its first ``2g-2-i`` terms again flip's; the Tate factor on its
+    Jacobian-squared term is :func:`sym_coeff_poly` at ``b = g``.
     """
     g, e, i = spec.g, spec.e, spec.i
     if not e <= 4 * g - 5:
@@ -244,11 +246,11 @@ def pair_cofactor_geo(spec: ChamberSpec) -> MotiveClass:
         return k + n + 1, k
 
     if 3 * i < e + g:
-        terms = [(sym_curve(g, k), proj(k, e + g - 3 * k - 2)) for k in range(i + 1)]
+        terms = [(sym_curve(g, k), _flip_block(g, e, k)) for k in range(i + 1)]
     else:
         n = e - 2 * g + 1
         terms = [(sym_curve(g, g - 1), proj(g - 1, n))]
-        terms += [(sym_curve(g, k), proj(k, e + g - 3 * k - 2)) for k in range(2 * g - 2 - i)]
+        terms += [(sym_curve(g, k), _flip_block(g, e, k)) for k in range(2 * g - 2 - i)]
         terms += [
             (sym_curve(g, k), proj(twist, n))
             for k in range(2 * g - 2 - i, g - 1) for twist in (3 * g - 3 - 2 * k, k)

@@ -74,6 +74,9 @@ def sweep_route_agreement(max_genus: int) -> SweepResult:
     twice its dimension; the symmetric-power basis form (when ``i < floor(e/2)
     <= 2g-3``) and the geometric form (always applicable in this range)
     reproduce the cofactor exactly, hence the class, in an integral domain.
+    Where ``3i < e+g`` the geometric form is the wall-crossing sum term for
+    term, so the two agree there by construction; it is a second formula only
+    in the other chambers (111 of the 2,013 at ``g <= 12``).
     """
     result = SweepResult("route-agreement")
     for g in range(2, max_genus + 1):

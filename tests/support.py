@@ -278,9 +278,10 @@ def hodge_diamond_violations(matrix: list[list[int]], dim: int) -> list[str]:
 def unpack_reference(x: int, w: int) -> list[int]:
     """The signed base-``2^w`` digits of ``x``, lowest first, peeled off one
     per shift: a digit at or above ``2^(w-1)`` is taken as negative and
-    borrows one from the rest.  As many digits as ``|x|`` can hold."""
+    borrows one from the rest.  Peeled until nothing is left, so the last
+    digit is nonzero and 0 has none."""
     half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
-    for _ in range(abs(x).bit_length() // w + 1):
+    while x:
         c, x = x & mask, x >> w
         if c >= half:
             c, x = c - mask - 1, x + 1

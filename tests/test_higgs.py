@@ -276,6 +276,17 @@ class TestModJacobian:
         assert result.checked == 2 and not result.passed
         assert result.failures[0] == "g=2: Higgs classes for d=1 and d=2 differ"
 
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_euler_characteristic_of_q(self, g):
+        """``Q = [M] / [Jac]`` has Euler characteristic ``mu(3)·3^(2g-3) =
+        -3^(2g-3)``, the value Hausel–Rodriguez-Villegas give for the PGL_3
+        twisted character variety.  A sanity line, not an oracle for Q: it does
+        not catch a (1,2) or (2,1) pair cofactor taken from chamber i - 1, nor a
+        Horner step ``tate_twist(3)`` made ``tate_twist(2)``."""
+        for d in (1, 2):
+            q = higgs_motive_mod_jac(HiggsSpec(g, d))
+            assert q.poincare_polynomial().evaluate(-1) == -(3 ** (2 * g - 3))
+
     def test_unit_coefficient_starts_at_one(self):
         cls = higgs_motive_mod_jac(HiggsSpec(2, 1))
         assert cls.coefficient(())[0] == 1

@@ -154,8 +154,7 @@ class TestDigits:
         ]
         for digits in cases:
             x = _pack(tuple(digits), w)
-            assert _unpack_rows([x], w)[0] == unpack_reference(x, w)
-            assert stripped(_unpack_rows([x], w)[0]) == stripped(digits)
+            assert _unpack_rows([x], w)[0] == unpack_reference(x, w) == stripped(digits)
 
     @pytest.mark.parametrize("w", widths())
     def test_one_digit_per_shift_on_any_byte_order(self, monkeypatch, w):
@@ -164,8 +163,7 @@ class TestDigits:
         top = 2 ** (w - 1) - 1
         for digits in ([0], [top, -top] * 3 + [top], [0, 0, -1, 1, -top]):
             x = _pack(tuple(digits), w)
-            assert _unpack_rows([x], w)[0] == unpack_reference(x, w)
-            assert stripped(_unpack_rows([x], w)[0]) == stripped(digits)
+            assert _unpack_rows([x], w)[0] == unpack_reference(x, w) == stripped(digits)
 
     @given(
         st.sampled_from(WIDTHS).flatmap(
@@ -178,8 +176,7 @@ class TestDigits:
     def test_random_digits(self, case):
         w, digits = case
         x = _pack(tuple(digits), w)
-        assert _unpack_rows([x], w)[0] == unpack_reference(x, w)
-        assert stripped(_unpack_rows([x], w)[0]) == stripped(digits)
+        assert _unpack_rows([x], w)[0] == unpack_reference(x, w) == stripped(digits)
 
 
 ROW_WIDTHS = (8, 16, 32, 64, 9, 17, 65)
@@ -209,8 +206,7 @@ class TestRows:
     def test_rows_of_unequal_length(self, w):
         xs, digit_lists = self.edge_rows(w)
         rows = _unpack_rows(xs, w)
-        assert rows == [unpack_reference(x, w) for x in xs]
-        assert [stripped(row) for row in rows] == [stripped(d) for d in digit_lists]
+        assert rows == [unpack_reference(x, w) for x in xs] == [stripped(d) for d in digit_lists]
 
     @pytest.mark.parametrize("w", row_widths())
     def test_one_digit_per_shift_on_any_byte_order(self, monkeypatch, w):
@@ -236,7 +232,29 @@ class TestRows:
     def test_random_rows(self, case):
         w, digit_lists = case
         xs = [_pack(tuple(digits), w) for digits in digit_lists]
-        assert _unpack_rows(xs, w) == [unpack_reference(x, w) for x in xs]
+        rows = [unpack_reference(x, w) for x in xs]
+        assert _unpack_rows(xs, w) == rows == [stripped(digits) for digits in digit_lists]
+
+
+class TestCanonicalRows:
+    """A decoded row is exactly the packed digits: it ends in a nonzero digit
+    and 0 has none, alone or in a batch, all zero or not, with one cast or one
+    digit per shift."""
+
+    @pytest.mark.parametrize("peel", [False, True], ids=["cast", "shift"])
+    @pytest.mark.parametrize("w", row_widths())
+    def test_rows_end_in_a_nonzero_digit(self, monkeypatch, w, peel):
+        if peel:  # as on a host of another byte order, even C-int digits one by one
+            monkeypatch.setattr(motive_module, "sys", SimpleNamespace(byteorder="big"))
+        top = 2 ** (w - 1) - 1
+        cancelled = _pack((1, -top, top), w) + _pack((0, 0, -top), w)  # the top digits cancel
+        for xs, rows in [
+            ([0], [[]]),
+            ([0] * 5, [[]] * 5),
+            ([cancelled], [[1, -top]]),
+            ([0, cancelled, _pack((0, 0, -1), w), 0], [[], [1, -top], [0, 0, -1], []]),
+        ]:
+            assert _unpack_rows(xs, w) == rows
 
 
 class TestPack:
@@ -250,8 +268,7 @@ class TestPack:
             coeffs = [(-1) ** k * (top - k % top) for k in range(n)]
             assert _pack(tuple(coeffs), w) == pack_reference(coeffs, w)
             assert _pack(tuple(-c for c in coeffs), w) == -pack_reference(coeffs, w)
-            if n:
-                assert stripped(_unpack_rows([_pack(tuple(coeffs), w)], w)[0]) == stripped(coeffs)
+            assert _unpack_rows([_pack(tuple(coeffs), w)], w)[0] == coeffs
 
 
 class TestDiamondText:

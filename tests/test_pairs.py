@@ -472,6 +472,15 @@ class TestCofactors:
         with pytest.raises(ArithmeticError, match=message):
             pair_cofactor_flip(spec)
 
+    def test_geo_takes_its_wall_terms_from_the_flip_block(self, monkeypatch):
+        # 3i < e + g: the geometric form is the flip sum, so the same swap breaks it
+        block = pairs_module._flip_block
+        monkeypatch.setattr(pairs_module, "_flip_block", lambda g, e, j: block(g, e, j)[::-1])
+        spec = ChamberSpec(g=3, e=4, i=1)
+        message = re.escape(f"pair class for {spec} has a negative coefficient")
+        with pytest.raises(ArithmeticError, match=message):
+            pair_cofactor_geo(spec)
+
 
 class TestSymUnfolded:
     """The flip cofactor against the plain ``S_b`` sum of
